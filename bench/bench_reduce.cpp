@@ -1,11 +1,11 @@
 // Linear-subnetwork reduction bench: full serial transient on an inverter
 // chain loaded with parasitic RC ladders, unreduced vs reduced.
 //
-// Methodology (1-vCPU container, see DESIGN.md "Environment substitutions"):
-// the gated headline is MODELED in deterministic flop units.  Both sides run
-// the REAL serial engine (so Newton-iteration counts, step counts and the
-// parity traces are measured), and the per-Newton-iteration cost is modeled
-// as the engine's actual factor+solve+assembly work:
+// Methodology: the gated headline is MODELED in deterministic flop units, so
+// it does not move with host load or core count.  Both sides run the REAL
+// serial engine (so Newton-iteration counts, step counts and the parity
+// traces are measured), and the per-Newton-iteration cost is modeled as the
+// engine's actual factor+solve+assembly work:
 //
 //   per_iter = pattern_nnz + dimension            (assembly: one stamp pass)
 //            + (nnz_l + nnz_u + dimension)        (numeric refactor)
@@ -15,13 +15,20 @@
 // The reduced side adds nodes_eliminated * kBackSubFlopsPerNode for the
 // subnet work a ReducedSubnet pays per Eval: one cached-factor triangular
 // solve over the interior (~2 flops/node for these ladder-like blocks), the
-// X*v_p back-substitution (~np flops/node) and the state writes.  The
-// interior FACTORIZATION is deliberately absent from the per-iteration term:
-// factor bundles are cached per (a0, gshunt), so the hot loop never refactors
-// the eliminated block — that amortization is the optimization being gated.
+// X*v_p back-substitution (~np flops/node) and the state writes.
 //
 //   C_side          = newton_iterations_side * per_iter_side
 //   modeled_speedup = C_unreduced / C_reduced          (gate: >= 2.0)
+//
+// The model leaves out the interior refactorization: a ReducedSubnet builds
+// a new factor bundle whenever it meets a new (a0, gshunt) key, and a0
+// follows the step size, so a variable-step run refactors the eliminated
+// blocks on nearly every step.  Each build is one numeric Refactor against
+// the subnet's shared symbolic analysis plus np triangular solves
+// (reduce/reduced_subnet.hpp).  The model therefore flatters the reduced
+// side; wall_speedup = wall_seconds_unreduced / wall_seconds_reduced
+// reports the measured ratio next to it and is never gated (each wall time
+// is the fastest of kWallRuns runs of a side, on whatever host runs this).
 //
 // Parity booleans compare the two runs' waveforms (time-interpolated): the
 // surviving port probes AND the eliminated-interior probes (back-substituted
@@ -58,6 +65,9 @@ constexpr double kBackSubFlopsPerNode = 5.0;
 /// (the eliminated unknowns leave the LTE-controlled vector), so parity is
 /// time-interpolated deviation within solver tolerance, not bit equality.
 constexpr double kParityTolVolts = 25e-3;  // 1% of VDD = 2.5 V
+
+/// Runs per side for the wall-clock figures; the fastest one is reported.
+constexpr int kWallRuns = 5;
 
 struct SideMetrics {
   int dimension = 0;
@@ -99,9 +109,13 @@ SideMetrics RunSide(const engine::Circuit& circuit, const engine::TransientSpec&
   lu.Factor(ctx.matrix);
   m.factor_nnz = lu.stats().nnz_l + lu.stats().nnz_u;
 
-  util::WallTimer timer;
-  const auto result = engine::RunTransientSerial(circuit, mna, spec, {});
-  m.wall_seconds = timer.Seconds();
+  engine::TransientResult result;
+  for (int run = 0; run < kWallRuns; ++run) {
+    util::WallTimer timer;
+    result = engine::RunTransientSerial(circuit, mna, spec, {});
+    const double seconds = timer.Seconds();
+    if (run == 0 || seconds < m.wall_seconds) m.wall_seconds = seconds;
+  }
   m.newton_iterations = result.stats.newton_iterations;
   m.steps = result.stats.steps_accepted;
   m.trace = result.trace;
@@ -232,6 +246,9 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  \"wall_seconds_unreduced\": %.6f,\n",
                point.unreduced.wall_seconds);
   std::fprintf(json, "  \"wall_seconds_reduced\": %.6f,\n", point.reduced.wall_seconds);
+  // Measured, report-only (check_bench.py never gates "wall" keys).
+  std::fprintf(json, "  \"wall_speedup\": %.6f,\n",
+               point.unreduced.wall_seconds / point.reduced.wall_seconds);
   std::fprintf(json, "  \"reduce_counters\": ");
   bench::WriteCountersJson(json, counters, 2);
   std::fprintf(json, ",\n");
@@ -253,9 +270,9 @@ int main(int argc, char** argv) {
   std::printf("(json written to BENCH_reduction.json)\n");
   std::printf(
       "Expected shape: the parasitic ladders carry almost every unknown, so\n"
-      "elimination shrinks the factored system by an order of magnitude while\n"
-      "the cached interior factors leave only O(eliminated) back-substitution\n"
-      "flops per Newton iteration — the modeled speedup clears the 2x gate and\n"
-      "both parity booleans hold.\n");
+      "elimination shrinks the factored system by an order of magnitude and\n"
+      "the modeled speedup clears the 2x gate; both parity booleans hold.  The\n"
+      "model omits the interior refactor each new (a0, gshunt) key costs, so\n"
+      "wall_speedup (measured, ungated) sits below it.\n");
   return (ports_ok && interiors_ok && point.modeled_speedup >= 2.0) ? 0 : 1;
 }

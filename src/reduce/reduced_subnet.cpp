@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "sparse/lu.hpp"
 #include "sparse/triplet.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -30,14 +29,26 @@ Workspace& LocalWorkspace() {
 
 }  // namespace
 
-/// One factorization of the interior block for a fixed (a0', gshunt) pair,
-/// plus the dense products the Schur stamp needs.  Immutable once built;
-/// shared by concurrent Evals through shared_ptr<const Bundle>.
+/// The interior factorization and Schur products for one (a0', gshunt) key.
+/// Immutable once published; shared by concurrent Evals through
+/// shared_ptr<const Bundle>, and recycled through BundlePool afterwards.
 struct ReducedSubnet::Bundle {
-  sparse::SparseLu lu;        ///< factored A_ii (kNatural: ascending node id)
-  std::vector<double> a_ip;   ///< ni x np, column-major (a_ip[i + j*ni])
-  std::vector<double> x;      ///< ni x np, column-major: A_ii^{-1} a_ip
-  std::vector<double> s;      ///< np x np, row-major Schur complement
+  sparse::CscMatrix a_ii;       ///< this key's A_ii on the subnet's pattern
+  sparse::SparseLu lu;          ///< factored a_ii
+  bool shares_analysis = false; ///< lu holds the subnet's symbolic analysis
+  std::vector<double> a_ip;     ///< ni x np, column-major (a_ip[i + j*ni])
+  std::vector<double> x;        ///< ni x np, column-major: A_ii^{-1} a_ip
+  std::vector<double> s;        ///< np x np, row-major Schur complement
+  std::unique_ptr<Bundle> next_free;  ///< BundlePool link while unused
+};
+
+/// Bundles whose last reference is gone, waiting to be rebuilt in place: an
+/// intrusive list, so returning one (in a shared_ptr deleter) never
+/// allocates or throws.  Each published bundle's deleter holds the pool, so
+/// it outlives both the subnet and the last in-flight bundle.
+struct ReducedSubnet::BundlePool {
+  std::mutex mutex;
+  std::unique_ptr<Bundle> free;
 };
 
 ReducedSubnet::ReducedSubnet(std::string name, std::vector<int> port_nodes,
@@ -52,17 +63,94 @@ ReducedSubnet::ReducedSubnet(std::string name, std::vector<int> port_nodes,
       resistors_(std::move(resistors)),
       capacitors_(std::move(capacitors)),
       sources_(std::move(sources)),
-      absorbed_(std::move(absorbed)) {
+      absorbed_(std::move(absorbed)),
+      pool_(std::make_shared<BundlePool>()) {
   WP_ASSERT(ni_ > 0);
+  const int ni = ni_;
   const int np = num_ports();
   auto check_local = [&](int a, int b) {
-    WP_ASSERT(a >= devices::kGround && a < ni_ + np);
-    WP_ASSERT(b >= devices::kGround && b < ni_ + np);
-    WP_ASSERT(a < ni_ || b < ni_);  // absorbed => at least one interior end
+    WP_ASSERT(a >= devices::kGround && a < ni + np);
+    WP_ASSERT(b >= devices::kGround && b < ni + np);
+    WP_ASSERT(a < ni || b < ni);  // absorbed => at least one interior end
   };
   for (const auto& r : resistors_) check_local(r.a, r.b);
   for (const auto& c : capacitors_) check_local(c.a, c.b);
   for (const auto& s : sources_) check_local(s.a, s.b);
+
+  // Interior pattern: every diagonal (so the gshunt fold and the pivot always
+  // have an entry, even for nodes whose devices vanish at DC) plus every
+  // interior-interior R or C coupling, capacitors included at every key.
+  sparse::TripletBuilder triplets(ni, ni);
+  for (int k = 0; k < ni; ++k) triplets.AddPattern(k, k);
+  auto reserve = [&](int a, int b) {
+    if (a != b && a >= 0 && a < ni && b >= 0 && b < ni) {
+      triplets.AddPattern(a, b);
+      triplets.AddPattern(b, a);
+    }
+  };
+  for (const auto& r : resistors_) reserve(r.a, r.b);
+  for (const auto& c : capacitors_) reserve(c.a, c.b);
+  interior_ = triplets.ToCsc();
+
+  const std::size_t nnz = interior_.num_nonzeros();
+  g_values_.assign(nnz, 0.0);
+  c_values_.assign(nnz, 0.0);
+  a_ip_g_.assign(static_cast<std::size_t>(ni) * static_cast<std::size_t>(np), 0.0);
+  a_ip_c_.assign(a_ip_g_.size(), 0.0);
+  s_diag_g_.assign(static_cast<std::size_t>(np), 0.0);
+  s_diag_c_.assign(static_cast<std::size_t>(np), 0.0);
+  diag_slots_.resize(static_cast<std::size_t>(ni));
+  for (int k = 0; k < ni; ++k) {
+    diag_slots_[static_cast<std::size_t>(k)] = interior_.FindEntry(k, k);
+  }
+
+  // Two-terminal element of value g between local endpoints (a, b).  By the
+  // absorption rule at least one endpoint is interior and port-port coupling
+  // cannot occur, so the port-side contribution is diagonal-only.
+  auto stamp = [&](int a, int b, double g, std::vector<double>& values,
+                   std::vector<double>& a_ip, std::vector<double>& s_diag) {
+    if (a == b) return;  // degenerate self-loop stamps net zero
+    for (int e : {a, b}) {
+      if (e < 0) continue;
+      if (e < ni) {
+        values[static_cast<std::size_t>(diag_slots_[static_cast<std::size_t>(e)])] += g;
+      } else {
+        s_diag[static_cast<std::size_t>(e - ni)] += g;
+      }
+    }
+    if (a < 0 || b < 0) return;
+    if (a < ni && b < ni) {
+      values[static_cast<std::size_t>(interior_.FindEntry(a, b))] -= g;
+      values[static_cast<std::size_t>(interior_.FindEntry(b, a))] -= g;
+      return;
+    }
+    const int i = a < ni ? a : b;  // the interior end
+    const int p = (a < ni ? b : a) - ni;
+    a_ip[static_cast<std::size_t>(i) +
+         static_cast<std::size_t>(p) * static_cast<std::size_t>(ni)] -= g;
+  };
+  for (const auto& r : resistors_) {
+    stamp(r.a, r.b, r.conductance, g_values_, a_ip_g_, s_diag_g_);
+  }
+  for (const auto& c : capacitors_) {
+    stamp(c.a, c.b, c.capacitance, c_values_, a_ip_c_, s_diag_c_);
+  }
+
+  // The one symbolic analysis: factor a strictly diagonally dominant matrix
+  // on the pattern (off-diagonals -1, diagonal = column degree + 1).  Its
+  // pivots stay on the diagonal under any ordering, so the pivot sequence is
+  // the minimum-degree order of the pattern itself and never singular.
+  sparse::CscMatrix stand_in = interior_;
+  auto values = stand_in.mutable_values();
+  for (int col = 0; col < ni; ++col) {
+    const int degree = stand_in.col_end(col) - stand_in.col_begin(col) - 1;
+    for (int k = stand_in.col_begin(col); k < stand_in.col_end(col); ++k) {
+      values[static_cast<std::size_t>(k)] =
+          stand_in.row_of(k) == col ? static_cast<double>(degree + 1) : -1.0;
+    }
+  }
+  analysis_.Factor(stand_in);
+  symbolic_factorizations_.store(1, std::memory_order_relaxed);
 }
 
 ReducedSubnet::~ReducedSubnet() = default;
@@ -100,20 +188,25 @@ void ReducedSubnet::DeclarePattern(devices::PatternBuilder& pattern) {
 std::shared_ptr<const ReducedSubnet::Bundle> ReducedSubnet::BundleFor(
     double a0, double gshunt) const {
   const std::pair<double, double> key(a0, gshunt);
+  // Newest first: consecutive Newton iterations of one step share its key.
+  auto find = [&]() -> std::shared_ptr<const Bundle> {
+    for (auto it = cache_.rbegin(); it != cache_.rend(); ++it) {
+      if (it->first == key) return it->second;
+    }
+    return nullptr;
+  };
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    for (const auto& [k, bundle] : cache_) {
-      if (k == key) return bundle;
-    }
+    if (auto bundle = find()) return bundle;
   }
   // Build outside the lock: concurrent builders produce bit-identical
-  // bundles (same deterministic assembly + factorization), so it does not
-  // matter whose insert wins.
+  // bundles (a bundle is a pure function of its key), so it does not matter
+  // whose insert wins.
   auto built = ComputeBundle(a0, gshunt);
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  for (const auto& [k, bundle] : cache_) {
-    if (k == key) return bundle;  // first insert won; agree with it
-  }
+  if (auto bundle = find()) return bundle;  // first insert won; agree with it
+  // Evicting the oldest may run its deleter here (cache lock, then pool lock;
+  // nothing takes them in the other order).
   if (cache_.size() >= kMaxBundles) cache_.erase(cache_.begin());
   cache_.emplace_back(key, built);
   return built;
@@ -126,65 +219,51 @@ std::shared_ptr<const ReducedSubnet::Bundle> ReducedSubnet::ComputeBundle(
   }
   const int ni = ni_;
   const int np = num_ports();
-  auto bundle = std::make_shared<Bundle>();
-  bundle->a_ip.assign(static_cast<std::size_t>(ni) * static_cast<std::size_t>(np), 0.0);
-  std::vector<double> s_diag(static_cast<std::size_t>(np), 0.0);
 
-  sparse::TripletBuilder triplets(ni, ni);
-  // Reserve every interior diagonal so the gshunt fold (and the factorization
-  // pivot) always has an entry, even for nodes whose devices vanish at DC.
-  for (int k = 0; k < ni; ++k) triplets.AddPattern(k, k);
-
-  // Two-terminal conductance g between local endpoints (a, b).  By the
-  // absorption rule at least one endpoint is interior and port-port coupling
-  // cannot occur, so the port-side contribution is diagonal-only.
-  auto stamp_g = [&](int a, int b, double g) {
-    if (a == b) return;  // degenerate self-loop stamps net zero
-    for (int e : {a, b}) {
-      if (e < 0) continue;
-      if (e < ni) {
-        triplets.Add(e, e, g);
-      } else {
-        s_diag[static_cast<std::size_t>(e - ni)] += g;
-      }
+  std::unique_ptr<Bundle> bundle;
+  {
+    std::lock_guard<std::mutex> lock(pool_->mutex);
+    if (pool_->free) {
+      bundle = std::move(pool_->free);
+      pool_->free = std::move(bundle->next_free);
     }
-    if (a >= 0 && b >= 0) {
-      const bool a_int = a < ni;
-      const bool b_int = b < ni;
-      if (a_int && b_int) {
-        triplets.Add(a, b, -g);
-        triplets.Add(b, a, -g);
-      } else if (a_int) {
-        bundle->a_ip[static_cast<std::size_t>(a) +
-                     static_cast<std::size_t>(b - ni) * static_cast<std::size_t>(ni)] -= g;
-      } else {
-        WP_ASSERT(b_int);
-        bundle->a_ip[static_cast<std::size_t>(b) +
-                     static_cast<std::size_t>(a - ni) * static_cast<std::size_t>(ni)] -= g;
-      }
-    }
-  };
-
-  for (const auto& r : resistors_) stamp_g(r.a, r.b, r.conductance);
-  if (a0 != 0.0) {
-    for (const auto& c : capacitors_) stamp_g(c.a, c.b, a0 * c.capacitance);
   }
-  // The engine stamps gshunt on every surviving node diagonal itself; the
-  // eliminated interiors must receive the same shunt here or the rescue
-  // ladder (DC gmin stepping, transient gshunt rungs) would behave
-  // differently reduced vs unreduced.
+  if (!bundle) {
+    bundle = std::make_unique<Bundle>();
+    bundle->a_ii = interior_;
+  }
+
+  // A_ii = G + a0'*C, plus the gshunt the engine stamps on every surviving
+  // node diagonal: the eliminated interiors must receive the same shunt or
+  // the rescue ladder (DC gmin stepping, transient gshunt rungs) would
+  // behave differently reduced vs unreduced.
+  auto values = bundle->a_ii.mutable_values();
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    values[k] = g_values_[k] + a0 * c_values_[k];
+  }
   if (gshunt > 0.0) {
-    for (int k = 0; k < ni; ++k) triplets.Add(k, k, gshunt);
+    for (int slot : diag_slots_) values[static_cast<std::size_t>(slot)] += gshunt;
+  }
+  bundle->a_ip.resize(a_ip_g_.size());
+  for (std::size_t k = 0; k < a_ip_g_.size(); ++k) {
+    bundle->a_ip[k] = a_ip_g_[k] + a0 * a_ip_c_[k];
   }
 
-  sparse::SparseLu::Options options;
-  options.ordering = sparse::SparseLu::Options::Ordering::kNatural;
-  bundle->lu.Reset(options);
-  bundle->lu.Factor(triplets.ToCsc());  // throws SingularMatrixError on zero pivot
+  if (!bundle->shares_analysis) {
+    bundle->lu.CopyFactorization(analysis_);
+    bundle->shares_analysis = true;
+  }
+  if (!bundle->lu.Refactor(bundle->a_ii)) {
+    // The fixed pivot sequence does not suit this key: pivot it afresh on
+    // the subnet's ordering.  Throws SingularMatrixError on a zero pivot.
+    bundle->shares_analysis = false;
+    symbolic_factorizations_.fetch_add(1, std::memory_order_relaxed);
+    bundle->lu.Factor(bundle->a_ii);
+  }
 
   // X = A_ii^{-1} A_ip, one triangular solve per port column.
   bundle->x = bundle->a_ip;
-  std::vector<double> lu_work;
+  std::vector<double>& lu_work = LocalWorkspace().lu_work;
   for (int j = 0; j < np; ++j) {
     std::span<double> column(bundle->x.data() + static_cast<std::size_t>(j) * ni,
                              static_cast<std::size_t>(ni));
@@ -192,18 +271,25 @@ std::shared_ptr<const ReducedSubnet::Bundle> ReducedSubnet::ComputeBundle(
   }
 
   // S = A_pp - A_pi X  with A_pi = A_ip^T (the absorbed block is symmetric)
-  // and A_pp diagonal (see stamp_g).
-  bundle->s.assign(static_cast<std::size_t>(np) * static_cast<std::size_t>(np), 0.0);
+  // and A_pp diagonal (see the constructor's stamp).
+  bundle->s.resize(static_cast<std::size_t>(np) * static_cast<std::size_t>(np));
   for (int i = 0; i < np; ++i) {
+    const std::size_t d = static_cast<std::size_t>(i);
     for (int j = 0; j < np; ++j) {
-      double acc = (i == j) ? s_diag[static_cast<std::size_t>(i)] : 0.0;
+      double acc = (i == j) ? s_diag_g_[d] + a0 * s_diag_c_[d] : 0.0;
       const double* col_i = bundle->a_ip.data() + static_cast<std::size_t>(i) * ni;
       const double* col_j = bundle->x.data() + static_cast<std::size_t>(j) * ni;
       for (int k = 0; k < ni; ++k) acc -= col_i[k] * col_j[k];
       bundle->s[static_cast<std::size_t>(i * np + j)] = acc;
     }
   }
-  return bundle;
+
+  // Publish; the last reference to drop hands the storage back to the pool.
+  return std::shared_ptr<Bundle>(bundle.release(), [pool = pool_](Bundle* done) {
+    std::lock_guard<std::mutex> lock(pool->mutex);
+    done->next_free = std::move(pool->free);
+    pool->free.reset(done);
+  });
 }
 
 void ReducedSubnet::Eval(devices::EvalContext& ctx) const {

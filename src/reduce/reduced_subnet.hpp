@@ -18,17 +18,38 @@
 // written to state slots claimed during Bind(), which is how probes of
 // eliminated nodes keep producing waveforms (engine::ProbeSet::EncodeState).
 //
-// Determinism: the interior matrix is assembled in fixed device order over
-// interiors indexed by ascending original node id, and factored with
-// SparseLu's kNatural ordering — the elimination order IS the ascending node
-// id order, so reduced stamps are bit-identical across runs and threads.
+// Bundles.  The factored A_ii, X = A_ii^{-1} A_ip and S depend only on the
+// pair (a0', gshunt).  They live in a bounded, mutex-protected cache keyed
+// bit-exactly on that pair, so a cache hit costs one triangular solve plus
+// two small dense products per Eval.  A variable-step run changes a0 almost
+// every step, so most keys are built once and used for a few Evals; building
+// one is therefore numeric work only:
+//   * the constructor fixes the interior pattern and what each absorbed R
+//     and C adds to every pattern slot, and runs the subnet's one symbolic
+//     analysis: a minimum-degree ordering of that pattern with diagonal
+//     pivots, factored from a strictly diagonally dominant stand-in matrix,
+//     so neither the ordering nor the pivot sequence depends on a key;
+//   * a key scatters G + a0'*C (+ gshunt on the interior diagonal) into the
+//     fixed pattern and runs SparseLu::Refactor on the shared analysis, then
+//     np triangular solves for X and an np x np product for S;
+//   * storage of a bundle dropped from the cache goes back to a free list
+//     once its last in-flight user releases it, and the next build writes
+//     into it, so a warm run allocates nothing per key beyond the
+//     shared_ptr control block;
+//   * a key whose reused pivot fails the check (a cap-only interior at DC,
+//     say) gets a full Factor of its own with partial pivoting, leaving the
+//     shared analysis alone; a singular block throws SingularMatrixError
+//     from Eval(), where the rescue ladder owns it.
 //
-// Factor bundles (factored A_ii + X = A_ii^{-1} A_ip + S) depend only on the
-// pair (a0', gshunt); a bounded, mutex-protected cache keyed bit-exactly on
-// that pair makes the per-Eval cost one triangular solve + two small dense
-// products once the integrator settles on a step size.
+// Determinism: a bundle is a pure function of its key.  The ordering and
+// pivot sequence are fixed by the pattern, a rebuild overwrites every value
+// of recycled storage, and the fallback Factor reuses the subnet's ordering.
+// Reduced stamps are therefore bit-identical across runs, threads, cache
+// histories and checkpoint resumes, which start with a cold cache.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,6 +59,7 @@
 #include "devices/device.hpp"
 #include "devices/waveform.hpp"
 #include "sparse/csc.hpp"
+#include "sparse/lu.hpp"
 
 namespace wavepipe::reduce {
 
@@ -106,18 +128,25 @@ class ReducedSubnet final : public devices::Device {
     return interior_state_[static_cast<std::size_t>(k)];
   }
 
-  /// Factor bundles built so far (telemetry/tests).
+  /// Bound on cached bundles; the oldest is evicted beyond it.
+  static constexpr std::size_t kMaxBundles = 32;
+  /// Factor bundles currently cached (telemetry/tests).
   std::size_t bundle_count() const;
+  /// Full factorizations, symbolic pass included, this subnet has run: the
+  /// one shared analysis plus one per key whose pivot check failed.  Every
+  /// other bundle build is a numeric Refactor (telemetry/tests).
+  std::uint64_t symbolic_factorizations() const {
+    return symbolic_factorizations_.load(std::memory_order_relaxed);
+  }
 
  private:
   struct Bundle;
+  struct BundlePool;
   /// Bundle for the bit-exact key (a0', gshunt); builds and caches on miss.
   /// The cache is bounded (kMaxBundles, oldest evicted) and first-insert-wins
   /// so concurrent Evals agree on one (identical) bundle.
   std::shared_ptr<const Bundle> BundleFor(double a0, double gshunt) const;
   std::shared_ptr<const Bundle> ComputeBundle(double a0, double gshunt) const;
-
-  static constexpr std::size_t kMaxBundles = 32;
 
   std::vector<int> ports_;  ///< rebuilt-circuit node ids, ascending original id
   int ni_ = 0;
@@ -130,6 +159,19 @@ class ReducedSubnet final : public devices::Device {
   std::vector<int> interior_state_;  ///< per-interior-node voltage slot (Bind)
   std::vector<int> port_slots_;      ///< np x np Jacobian slots, row-major
 
+  // Key-independent model, fixed at construction: A = G + a0'*C split into
+  // its conductance and capacitance parts over the interior pattern, the
+  // interior-port block (ni x np, column-major) and the port diagonal.
+  sparse::CscMatrix interior_;         ///< A_ii pattern
+  std::vector<double> g_values_;       ///< G part of A_ii, per pattern slot
+  std::vector<double> c_values_;       ///< C part of A_ii, per pattern slot
+  std::vector<int> diag_slots_;        ///< A_ii diagonal slot per interior
+  std::vector<double> a_ip_g_, a_ip_c_;
+  std::vector<double> s_diag_g_, s_diag_c_;
+  sparse::SparseLu analysis_;          ///< the shared symbolic analysis
+  mutable std::atomic<std::uint64_t> symbolic_factorizations_{0};
+
+  std::shared_ptr<BundlePool> pool_;
   mutable std::mutex cache_mutex_;
   mutable std::vector<std::pair<std::pair<double, double>, std::shared_ptr<const Bundle>>>
       cache_;

@@ -275,6 +275,52 @@ void SparseLu::Factor(const CscMatrix& matrix) {
   factored_ = true;
 }
 
+void SparseLu::CopyFactorization(const SparseLu& source) {
+  WP_ASSERT(source.factored_);
+  options_ = source.options_;
+  stats_.nnz_l = source.stats_.nnz_l;
+  stats_.nnz_u = source.stats_.nnz_u;
+  stats_.factor_levels = source.stats_.factor_levels;
+  stats_.factor_widest_level = source.stats_.factor_widest_level;
+  stats_.solve_fwd_levels = source.stats_.solve_fwd_levels;
+  stats_.solve_bwd_levels = source.stats_.solve_bwd_levels;
+  stats_.modeled_refactor_speedup2 = source.stats_.modeled_refactor_speedup2;
+  stats_.modeled_refactor_speedup4 = source.stats_.modeled_refactor_speedup4;
+  factored_ = true;
+  n_ = source.n_;
+  pattern_nnz_ = source.pattern_nnz_;
+  q_ = source.q_;
+  pinv_ = source.pinv_;
+  prow_ = source.prow_;
+  ordering_cached_ = source.ordering_cached_;
+  ordering_n_ = source.ordering_n_;
+  ordering_nnz_ = source.ordering_nnz_;
+  ordering_pattern_hash_ = source.ordering_pattern_hash_;
+  ordering_kind_ = source.ordering_kind_;
+  lp_ = source.lp_;
+  li_ = source.li_;
+  lx_ = source.lx_;
+  up_ = source.up_;
+  ui_ = source.ui_;
+  ux_ = source.ux_;
+  udiag_ = source.udiag_;
+  lrow_ptr_ = source.lrow_ptr_;
+  lrow_col_ = source.lrow_col_;
+  lrow_val_ = source.lrow_val_;
+  urow_ptr_ = source.urow_ptr_;
+  urow_col_ = source.urow_col_;
+  urow_val_ = source.urow_val_;
+  factor_levels_ = source.factor_levels_;
+  fwd_levels_ = source.fwd_levels_;
+  bwd_levels_ = source.bwd_levels_;
+  col_flops_ = source.col_flops_;
+  fwd_node_cost_ = source.fwd_node_cost_;
+  bwd_node_cost_ = source.bwd_node_cost_;
+  serial_refactor_flops_ = source.serial_refactor_flops_;
+  // Refactor() relies on work_ being zero; Factor() re-sizes the rest.
+  work_.assign(static_cast<std::size_t>(n_), 0.0);
+}
+
 void SparseLu::BuildSchedules() {
   const std::size_t n = static_cast<std::size_t>(n_);
 

@@ -126,6 +126,14 @@ class SparseLu {
   /// level schedules and row-major factor mirrors the parallel kernels use.
   void Factor(const CscMatrix& matrix);
 
+  /// Makes this instance a copy of `source`'s last Factor(): options,
+  /// ordering, pivot sequence, factor patterns and values, level schedules.
+  /// Refactor() on a matrix with `source`'s pattern then skips the symbolic
+  /// pass, which is how several value sets share one analysis (SparseLu
+  /// itself is non-copyable).  Counters and the attached ordering cache stay
+  /// this instance's own.  Precondition: `source.factored()`.
+  void CopyFactorization(const SparseLu& source);
+
   /// Numeric-only refactorization.  Preconditions: Factor() has succeeded on
   /// a matrix with the identical pattern.  Returns false when pivot quality
   /// degraded; the factors are then invalid and Factor() must be rerun.

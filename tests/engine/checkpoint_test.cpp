@@ -22,6 +22,7 @@
 #include "engine/resilience.hpp"
 #include "engine/transient.hpp"
 #include "parallel/fine_grained.hpp"
+#include "reduce/reduce.hpp"
 #include "util/fault.hpp"
 #include "wavepipe/wavepipe.hpp"
 
@@ -43,6 +44,18 @@ void RemoveSlots(const std::string& base) {
   std::remove((base + ".a").c_str());
   std::remove((base + ".b").c_str());
   std::remove(base.c_str());
+}
+
+/// A parasitic-ladder chain after the --reduce pass.  A resumed process
+/// starts with cold ReducedSubnet bundle caches, so resume bit-identity on
+/// it pins that every bundle depends only on its (a0, gshunt) key.
+circuits::GeneratedCircuit ReducedParasiticLadder() {
+  auto gen = circuits::MakeParasiticLadder(4, 12);
+  auto reduction = reduce::Reduce(std::move(gen.circuit));
+  EXPECT_TRUE(reduction.reduced);
+  reduce::RemapSpec(reduction, gen.spec);
+  gen.circuit = std::move(reduction.circuit);
+  return gen;
 }
 
 // ---------------------------------------------------------------------------
@@ -437,6 +450,11 @@ TEST_F(SerialResumeTest, ResumeAtEveryEarlyStepIsBitIdentical) {
   }
 }
 
+TEST_F(SerialResumeTest, ReducedResumeIsBitIdentical) {
+  const auto gen = ReducedParasiticLadder();
+  ExpectResumeBitIdentical(gen, 13, "reduce_k13");
+}
+
 TEST_F(SerialResumeTest, PartitionedResumeIsBitIdentical) {
   const auto gen = circuits::MakeRcMesh(8, 8);
   engine::MnaStructure mna(*gen.circuit);
@@ -710,6 +728,12 @@ TEST_F(PipelineResumeTest, CombinedResumeIsBitIdentical) {
   const auto gen = circuits::MakeRcMesh(8, 8);
   ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kCombined, 3, 7, 0,
                                    "combined_k7");
+}
+
+TEST_F(PipelineResumeTest, CombinedReducedResumeIsBitIdentical) {
+  const auto gen = ReducedParasiticLadder();
+  ExpectPipelineResumeBitIdentical(gen, pipeline::Scheme::kCombined, 3, 13, 0,
+                                   "combined_reduce_k13");
 }
 
 TEST_F(PipelineResumeTest, CombinedPartitionedResumeIsBitIdentical) {

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -124,7 +125,11 @@ TEST(CliExitCodes, RecognizedUnsupportedDirectiveIsParseError) {
 }
 
 std::string SweepDeck(const std::string& step_values) {
-  return WriteDeck("cli_sweep.sp",
+  // One file per step list: tests running concurrently with different lists
+  // must not swap each other's deck in between write and read.
+  std::string tag = step_values;
+  std::replace(tag.begin(), tag.end(), ' ', '_');
+  return WriteDeck("cli_sweep_" + tag + ".sp",
                    "cli sweep\n"
                    ".param rload=1k\n"
                    "V1 in 0 DC 0 PULSE(0 1 1u 1u 1u 10u 20u)\n"
@@ -144,6 +149,30 @@ TEST(CliExitCodes, SweepWithFailingVariantIsIncomplete) {
   // rload=0 elaborates to a zero resistance: that corner fails, the batch
   // finishes, and the partial result is reported as "run incomplete".
   EXPECT_EQ(RunCli(SweepDeck("1k 0") + " --sweep"), 4);
+}
+
+// --reduce only rewrites the transient path; batch and .dc/.ac runs would
+// silently ignore it, so both combinations are rejected up front.
+TEST(CliExitCodes, ReduceWithSweepIsUsageError) {
+  std::string output;
+  EXPECT_EQ(RunCliCapture(SweepDeck("500 1k") + " --sweep --reduce", output), 1);
+  EXPECT_NE(output.find("--reduce cannot be combined with --sweep"), std::string::npos)
+      << output;
+}
+
+TEST(CliExitCodes, ReduceOnDcOnlyDeckIsUsageError) {
+  const std::string deck = WriteDeck("cli_dc_reduce.sp",
+                                     "dc only\n"
+                                     "V1 in 0 DC 1\n"
+                                     "R1 in mid 1k\n"
+                                     "R2 mid 0 1k\n"
+                                     ".dc V1 0 1 0.5\n"
+                                     ".print v(mid)\n"
+                                     ".end\n");
+  EXPECT_EQ(RunCli(deck), 0);
+  std::string output;
+  EXPECT_EQ(RunCliCapture(deck + " --reduce", output), 1);
+  EXPECT_NE(output.find("--reduce needs a .tran analysis"), std::string::npos) << output;
 }
 
 TEST(CliExitCodes, DeckWithoutTranIsParseError) {

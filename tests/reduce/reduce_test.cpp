@@ -1,18 +1,26 @@
 // Linear-subnetwork reduction: detection, deterministic rebuild, no-op
 // identity, unknown_map / RemapSpec translation, exact back-substitution on
-// analytically solvable subnetworks, and counter export.
+// analytically solvable subnetworks, bundle purity under cache eviction, and
+// counter export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <random>
 
 #include "circuits/generators.hpp"
 #include "devices/passive.hpp"
 #include "devices/sources.hpp"
+#include "engine/mna.hpp"
+#include "engine/newton.hpp"
 #include "engine/trace.hpp"
 #include "engine/transient.hpp"
 #include "reduce/reduce.hpp"
 #include "reduce/reduced_subnet.hpp"
+#include "util/error.hpp"
 #include "util/telemetry.hpp"
 
 namespace wavepipe::reduce {
@@ -24,6 +32,21 @@ using devices::DcWaveform;
 using devices::Resistor;
 using devices::VoltageSource;
 using engine::Circuit;
+
+std::vector<const ReducedSubnet*> SubnetsOf(const Circuit& circuit) {
+  std::vector<const ReducedSubnet*> subnets;
+  for (const auto& device : circuit.devices()) {
+    if (const auto* subnet = dynamic_cast<const ReducedSubnet*>(device.get())) {
+      subnets.push_back(subnet);
+    }
+  }
+  return subnets;
+}
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
 TEST(ReduceDetectTest, LadderInteriorIsFullyEliminated) {
   auto gen = circuits::MakeRcLadder(10);
@@ -91,7 +114,7 @@ TEST(ReduceDetectTest, DeterministicAcrossIdenticalInputs) {
   EXPECT_EQ(a.circuit->num_unknowns(), b.circuit->num_unknowns());
 
   // The rebuilt circuits must solve bit-identically: same devices in the same
-  // order, same elimination order (ascending node id), same stamps.
+  // order, same elimination order (fixed by the interior pattern), same stamps.
   auto gen = circuits::MakeRcMesh(5, 5);
   engine::TransientSpec spec = gen.spec;
   RemapSpec(a, spec);
@@ -192,6 +215,104 @@ TEST(ReduceBacksubTest, AbsorbedCurrentSourceKeepsDcSolution) {
   for (std::size_t i = 0; i < run.trace.num_samples(); ++i) {
     EXPECT_NEAR(run.trace.value(i, 0), expected, 1e-9);
   }
+}
+
+// A bundle is a pure function of its (a0', gshunt) key.  More keys than the
+// cache holds, evaluated once ascending and once shuffled, hit eviction and
+// storage recycling at different keys; every key's stamps and state writes
+// must still agree bit for bit, and every build must reuse the subnet's one
+// symbolic analysis.
+TEST(ReduceBundleTest, BundlesArePureFunctionsOfTheirKey) {
+  auto gen = circuits::MakeParasiticLadder(3, 8);
+  auto result = Reduce(std::move(gen.circuit));
+  ASSERT_TRUE(result.reduced);
+  const auto subnets = SubnetsOf(*result.circuit);
+  ASSERT_FALSE(subnets.empty());
+
+  const engine::MnaStructure mna(*result.circuit);
+  engine::SolveContext ctx(*result.circuit, mna);
+  // A fixed iterate and history: only the key varies between evaluations.
+  for (std::size_t i = 0; i < ctx.x.size(); ++i) {
+    ctx.x[i] = 0.6 * std::sin(0.41 * static_cast<double>(i) + 0.2);
+  }
+  for (std::size_t i = 0; i < ctx.state_hist.size(); ++i) {
+    ctx.state_hist[i] = 1e-6 * std::cos(0.7 * static_cast<double>(i));
+  }
+
+  struct Key {
+    double a0, gshunt;
+  };
+  std::vector<Key> keys;
+  for (std::size_t k = 0; k < ReducedSubnet::kMaxBundles + 8; ++k) {
+    keys.push_back({2e9 * (1.0 + 0.37 * static_cast<double>(k)), 0.0});
+  }
+  keys.push_back({keys[3].a0, 1e-3});  // a gshunt rung at an a0 also seen bare
+
+  struct Stamp {
+    std::vector<double> jacobian, rhs, state;
+  };
+  auto eval = [&](const Key& key) {
+    engine::NewtonInputs inputs;
+    inputs.time = 1e-9;
+    inputs.a0 = key.a0;
+    inputs.transient = true;
+    inputs.gshunt = key.gshunt;
+    std::fill(ctx.state_now.begin(), ctx.state_now.end(), 0.0);
+    engine::EvalDevices(ctx, inputs, /*limit_valid=*/false, /*first_iteration=*/true);
+    const auto jacobian = ctx.matrix.values();
+    return Stamp{{jacobian.begin(), jacobian.end()}, ctx.rhs, ctx.state_now};
+  };
+
+  std::vector<Stamp> ascending;
+  for (const Key& key : keys) ascending.push_back(eval(key));
+
+  std::vector<std::size_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), std::mt19937(7));
+  for (const std::size_t k : order) {
+    const Stamp again = eval(keys[k]);
+    EXPECT_TRUE(BitwiseEqual(again.jacobian, ascending[k].jacobian)) << "key " << k;
+    EXPECT_TRUE(BitwiseEqual(again.rhs, ascending[k].rhs)) << "key " << k;
+    EXPECT_TRUE(BitwiseEqual(again.state, ascending[k].state)) << "key " << k;
+  }
+  EXPECT_FALSE(BitwiseEqual(ascending[0].jacobian, ascending[1].jacobian))
+      << "distinct keys must stamp distinct Schur blocks";
+
+  for (const ReducedSubnet* subnet : subnets) {
+    EXPECT_EQ(subnet->symbolic_factorizations(), 1u);
+    EXPECT_EQ(subnet->bundle_count(), ReducedSubnet::kMaxBundles);
+  }
+}
+
+// A key whose reused pivot fails the check factors on its own: a cap-only
+// interior is singular at DC, so that key's own Factor throws, and the next
+// transient key still refactors on the untouched shared analysis.
+TEST(ReduceBundleTest, PivotFallbackLeavesTheSharedAnalysisAlone) {
+  auto circuit = std::make_unique<Circuit>();
+  const int in = circuit->AddNode("in");
+  const int mid = circuit->AddNode("mid");
+  circuit->Emplace<VoltageSource>("vin", in, devices::kGround,
+                                  std::make_unique<DcWaveform>(1.0));
+  circuit->Emplace<Capacitor>("c1", in, mid, 1e-12);
+  circuit->Emplace<Capacitor>("c2", mid, devices::kGround, 1e-12);
+  circuit->Finalize();
+  auto result = Reduce(std::move(circuit));
+  ASSERT_TRUE(result.reduced);
+  const auto subnets = SubnetsOf(*result.circuit);
+  ASSERT_EQ(subnets.size(), 1u);
+
+  const engine::MnaStructure mna(*result.circuit);
+  engine::SolveContext ctx(*result.circuit, mna);
+  engine::NewtonInputs dc;
+  EXPECT_THROW(engine::EvalDevices(ctx, dc, false, true), SingularMatrixError);
+  EXPECT_EQ(subnets[0]->symbolic_factorizations(), 2u);
+
+  engine::NewtonInputs tran;
+  tran.transient = true;
+  tran.a0 = 1e9;
+  EXPECT_NO_THROW(engine::EvalDevices(ctx, tran, false, true));
+  EXPECT_EQ(subnets[0]->symbolic_factorizations(), 2u);
+  EXPECT_EQ(subnets[0]->bundle_count(), 1u);
 }
 
 TEST(ReduceStatsTest, CountersExportUnderReducePrefixInSchemaOrder) {

@@ -134,6 +134,33 @@ TEST(SparseLu, RefactorMatchesFreshFactor) {
   EXPECT_EQ(lu.stats().factor_count, 1u);
 }
 
+// A copy of another instance's factorization refactors exactly like the
+// original would: same pivots, same bits, and no symbolic pass of its own.
+TEST(SparseLu, CopiedFactorizationRefactorsBitIdentically) {
+  util::Rng rng(11);
+  const CscMatrix a = RandomSparse(24, 0.15, rng);
+  SparseLu source;
+  source.Factor(a);
+
+  CscMatrix a2 = a;
+  for (double& v : a2.mutable_values()) v *= rng.Uniform(0.5, 1.5);
+  SparseLu copy;
+  copy.CopyFactorization(source);
+  ASSERT_TRUE(copy.Refactor(a2));
+  ASSERT_TRUE(source.Refactor(a2));
+  EXPECT_EQ(copy.stats().factor_count, 0u);
+  EXPECT_EQ(copy.stats().refactor_count, 1u);
+  EXPECT_EQ(copy.stats().nnz_l, source.stats().nnz_l);
+
+  const std::vector<double> b = RandomVector(24, rng);
+  std::vector<double> x_copy = b;
+  std::vector<double> x_source = b;
+  copy.Solve(x_copy);
+  source.Solve(x_source);
+  EXPECT_EQ(x_copy, x_source);
+  EXPECT_LT(SolveResidualInf(a2, x_copy, b), 1e-10);
+}
+
 TEST(SparseLu, RefactorDetectsPivotDegradation) {
   // Factor a well-conditioned matrix, then refactor with values that make
   // the reused pivot catastrophically small.

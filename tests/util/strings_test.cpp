@@ -51,6 +51,16 @@ struct SpiceNumberCase {
   double expected;
 };
 
+// ctest names each case after its printed parameter; gtest's default byte
+// dump would embed the string literal's address, which ASLR changes per run.
+// Blanks print as '_' so a name never holds a run of spaces, which log
+// parsers tend to collapse.
+void PrintTo(const SpiceNumberCase& c, std::ostream* os) {
+  *os << '\'';
+  for (const char* p = c.text; *p != '\0'; ++p) *os << (*p == ' ' ? '_' : *p);
+  *os << '\'';
+}
+
 class SpiceNumberTest : public ::testing::TestWithParam<SpiceNumberCase> {};
 
 TEST_P(SpiceNumberTest, Parses) {

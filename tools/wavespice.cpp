@@ -21,6 +21,8 @@
 //                                      interior nodes are back-substituted).
 //                                      Composes with --partition: reduce first,
 //                                      then partition the smaller system.
+//                                      Transient only: a usage error with
+//                                      --sweep or on a deck without .tran.
 //   --spec-policy fixed|adaptive       speculation policy       (default fixed)
 //   --spec-depth-min N                 adaptive chain depth lower bound (default 0:
 //                                      the controller may throttle speculation off)
@@ -138,6 +140,8 @@ int Usage() {
                "[--max-wall S] [--max-steps N] [--max-newton-total N] "
                "[--watchdog] [--no-breakers] "
                "[--sweep] [--mc-seed N] [--sweep-waveforms] [--no-share]\n"
+               "--reduce applies to .tran analyses only: it is a usage error "
+               "with --sweep or on a .dc/.ac-only deck\n"
                "exit codes: 0 ok, 1 usage, 2 parse/elaboration error, "
                "3 analysis failure,\n"
                "            4 run incomplete (budget/watchdog/structured abort), "
@@ -536,7 +540,15 @@ int main(int argc, char** argv) {
   CliOptions cli;
   if (!ParseArgs(argc, argv, &cli)) return Usage();
 
-  if (cli.sweep) return RunBatchMode(cli);
+  // --reduce rewrites the circuit only on the transient path below; the
+  // batch and .dc/.ac paths would silently run unreduced.
+  if (cli.sweep) {
+    if (cli.reduce) {
+      std::fprintf(stderr, "wavespice: --reduce cannot be combined with --sweep\n");
+      return 1;
+    }
+    return RunBatchMode(cli);
+  }
 
   netlist::ElaboratedCircuit elaborated;
   try {
@@ -547,6 +559,12 @@ int main(int argc, char** argv) {
   }
   if (!elaborated.has_tran) {
     if (elaborated.dc.present || elaborated.ac.present) {
+      if (cli.reduce) {
+        std::fprintf(stderr,
+                     "wavespice: --reduce needs a .tran analysis; this deck has "
+                     "only .dc/.ac\n");
+        return 1;
+      }
       return RunSingleSweepAnalysis(cli, elaborated);
     }
     std::fprintf(stderr, "wavespice: deck has no analysis card (.tran/.dc/.ac)\n");
