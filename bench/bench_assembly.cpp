@@ -4,8 +4,8 @@
 //
 // Each strategy is measured at 1 thread (per-phase thread-CPU seconds over
 // many assembly passes), then projected to k workers with the virtual-time
-// model ModelAssemblySeconds() — the same 1-vCPU-container methodology the
-// pipeline benches use.  Results go to BENCH_assembly.json (run from the
+// model ModelAssemblySeconds() — the same modeled methodology the pipeline
+// benches use (a diagnostic; perfbench/ measures wall clock end to end).  Results go to BENCH_assembly.json (run from the
 // repo root so the committed copy refreshes in place).
 #include <cmath>
 #include <cstdio>

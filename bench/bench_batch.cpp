@@ -3,7 +3,8 @@
 // grids of .dc sweeps over an RC mesh and a power-grid deck, plus a small
 // transient grid for the bit-identity booleans).
 //
-// Methodology (1-vCPU container, see DESIGN.md "Environment substitutions"):
+// Methodology (a modeled diagnostic; perfbench/ measures wall clock end to
+// end — see DESIGN.md "Environment substitutions"):
 // the gated headline is MODELED in deterministic flop units.  Both sides run
 // the REAL batch runner (so Newton-iteration counts, ordering hit/miss
 // counts and the waveform hashes are measured), and the costs are modeled

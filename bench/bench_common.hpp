@@ -45,7 +45,7 @@ struct SchemeMetrics {
   std::size_t rounds = 0;           ///< sequential macro-iterations
   std::size_t steps = 0;            ///< accepted leading steps
   std::uint64_t newton_iterations = 0;
-  double wall_seconds = 0.0;        ///< measured on this machine (1 vCPU!)
+  double wall_seconds = 0.0;        ///< measured wall clock of the run
   double makespan_seconds = 0.0;    ///< virtual replay on `threads` workers
   double busy_seconds = 0.0;        ///< total solver CPU across workers
   pipeline::PipelineSchedStats sched;

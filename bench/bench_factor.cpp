@@ -2,7 +2,8 @@
 // parallel path (sparse/lu.hpp), over the standard benchmark suite's circuit
 // Jacobians.
 //
-// Methodology (1-vCPU container, see DESIGN.md "Environment substitutions"):
+// Methodology (a modeled diagnostic; perfbench/ measures wall clock end to
+// end — see DESIGN.md "Environment substitutions"):
 // the serial kernel and the 1-thread fallback are MEASURED (thread-CPU
 // seconds over many refactor passes); multi-thread throughput is MODELED two
 // ways —

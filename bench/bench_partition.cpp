@@ -1,7 +1,8 @@
 // Domain-decomposition bench: partitioned BBD factor+solve vs the monolithic
 // level-scheduled LU, on a power-delivery grid past 100k unknowns.
 //
-// Methodology (1-vCPU container, see DESIGN.md "Environment substitutions"):
+// Methodology (a modeled diagnostic; perfbench/ measures wall clock end to
+// end — see DESIGN.md "Environment substitutions"):
 // all gated numbers are MODELED in deterministic flop units —
 //   * monolithic baseline at k threads: the barrier-per-level cost model
 //     ModelRefactorMakespanFlops(k) for the refactor plus one serial

@@ -1,6 +1,7 @@
 // Durable-run overhead bench: what periodic checkpointing costs a run.
 //
-// Methodology (1-vCPU container, see DESIGN.md "Environment substitutions"):
+// Methodology (a modeled diagnostic; perfbench/ measures wall clock end to
+// end — see DESIGN.md "Environment substitutions"):
 // the gated number is MODELED and deterministic —
 //
 //   modeled_overhead = (bytes_per_checkpoint / kModeledDiskBps + kModeledFsync)

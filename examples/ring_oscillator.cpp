@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
   chart.AddSeries("v(s0)", serial_trace.Series(0));
   std::printf("%s", chart.ToString().c_str());
   std::printf("\n'model speedup' = serial ledger makespan / scheme makespan on %d virtual "
-              "workers\n(thread-CPU cost replay; see DESIGN.md on the 1-vCPU substitution).\n",
+              "workers\n(thread-CPU cost replay, a model; see DESIGN.md \"Environment "
+              "substitutions\").\n",
               threads);
   return 0;
 }

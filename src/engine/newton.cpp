@@ -1,6 +1,7 @@
 #include "engine/newton.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -308,6 +309,18 @@ NewtonStats SolveNewton(SolveContext& ctx, const NewtonInputs& inputs,
 
   ChordPolicy chord(ctx, inputs, options);
 
+  // Phase clocks: each lap charges the time since the previous one to
+  // ctx.eval_seconds or ctx.lu_seconds — one read on entry, two per
+  // iteration, one after the converged-state refresh.  The O(n) convergence
+  // test rides on the next eval lap.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point mark = Clock::now();
+  const auto lap = [&mark](double& seconds) {
+    const Clock::time_point now = Clock::now();
+    seconds += std::chrono::duration<double>(now - mark).count();
+    mark = now;
+  };
+
   bool limit_valid = false;
   for (int iter = 0; iter < max_iterations; ++iter) {
     stats.iterations = iter + 1;
@@ -316,6 +329,7 @@ NewtonStats SolveNewton(SolveContext& ctx, const NewtonInputs& inputs,
 
     try {
       EvalDevices(ctx, inputs, limit_valid, iter == 0);
+      lap(ctx.eval_seconds);
     } catch (const SingularMatrixError&) {
       // A ReducedSubnet's interior factor hit a zero pivot (real, or injected
       // via "reduce.singular").  Same contract as a singular solve pivot: a
@@ -394,6 +408,7 @@ NewtonStats SolveNewton(SolveContext& ctx, const NewtonInputs& inputs,
         ctx.lu.Refine(ctx.matrix, ctx.rhs, ctx.x_new, ctx.refine_work, ctx.lu_work);
       }
     }
+    lap(ctx.lu_seconds);
 
     // Damped update (rescue ladder): pull the full Newton step back toward
     // the current iterate.  The convergence norm below then measures the
@@ -447,6 +462,7 @@ NewtonStats SolveNewton(SolveContext& ctx, const NewtonInputs& inputs,
       if (worst > 0.1) {
         try {
           EvalDevices(ctx, inputs, /*limit_valid=*/true, /*first_iteration=*/false);
+          lap(ctx.eval_seconds);
         } catch (const SingularMatrixError&) {
           stats.converged = false;
           stats.singular = true;

@@ -53,7 +53,7 @@ struct NewtonInputs;
 class SolveContext;
 
 /// How an attached assembler spent its time and what it decided — surfaced
-/// through FineGrainedResult / WavePipeResult so benches can report the
+/// through TransientResult / WavePipeResult so benches can report the
 /// coloring-vs-reduction split without reaching into parallel internals.
 struct AssemblyStats {
   const char* strategy = "serial";  ///< "serial", "reduction", or "colored"
@@ -121,15 +121,17 @@ struct FactorReusePolicy {
   std::vector<double> factor_values;
 };
 
-/// Chord-Newton attempt/accept policy shared by engine::SolveNewton and the
-/// fine-grained parallel loop (parallel/fine_grained.cpp).  One instance
+/// Chord-Newton attempt/accept policy of engine::SolveNewton, the one Newton
+/// loop: the fine-grained engine is the serial transient loop with an
+/// intra-solve pool attached to its SolveContext (RunTransientSerial's
+/// IntraSolve), so it runs this same policy on the same loop.  One instance
 /// lives for one solve and owns every chord decision — whether an iteration
 /// may reuse the factor in ctx.lu (fill-ratio cost gate, cross-solve
 /// backoff, a0 drift), whether a passing iterate may be trusted (exact
 /// bitwise factor or an observed contraction rate bounding the remaining
-/// error), and when the safety net forces a fresh factorization — so the two
-/// Newton loops cannot drift apart.  The loops keep ownership of the LU
-/// calls themselves; the policy only mutates ctx.factor_reuse.
+/// error), and when the safety net forces a fresh factorization.  The loop
+/// keeps ownership of the LU calls themselves; the policy only mutates
+/// ctx.factor_reuse.
 class ChordPolicy {
  public:
   /// Consumes one backoff credit when the solve enters inside a backoff
@@ -267,7 +269,8 @@ class SolveContext {
   std::vector<double> refine_work;  ///< residual scratch for iterative refinement
 
   /// Optional assembly strategy; null = serial device loop.  Not owned — the
-  /// creator (fine-grained evaluator, WavePipe driver) keeps it alive.
+  /// creator (parallel::RunTransientFineGrained, WavePipe driver) keeps it
+  /// alive.
   DeviceAssembler* assembler = nullptr;
 
   /// Optional worker pool for level-scheduled refactorization / triangular
@@ -295,6 +298,12 @@ class SolveContext {
   bool record_factor_seeds = false;
 
   std::uint64_t total_newton_iterations = 0;  ///< lifetime counter
+
+  /// Lifetime wall seconds SolveNewton spent in device evaluation and in
+  /// factor/solve (steady clock, two reads per iteration).  The transient
+  /// loop turns them into its PhaseBreakdown.
+  double eval_seconds = 0.0;
+  double lu_seconds = 0.0;
 
   /// Liveness heartbeat: ticked once per Newton iteration (relaxed; a
   /// one-RMW-per-iteration cost).  The stall watchdog samples it from its

@@ -10,6 +10,7 @@
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace wavepipe::engine {
@@ -50,6 +51,14 @@ void TransientStats::ExportCounters(util::telemetry::CounterRegistry& registry) 
   registry.Count("partition.schur_factors", partition_schur_factors);
   registry.Count("partition.schur_nnz", partition_schur_nnz);
   registry.Value("partition.schur_seconds", partition_schur_seconds);
+}
+
+void PhaseBreakdown::ExportCounters(util::telemetry::CounterRegistry& registry) const {
+  registry.Value("phases.model_eval_seconds", model_eval);
+  registry.Value("phases.reduction_seconds", reduction);
+  registry.Value("phases.lu_seconds", lu);
+  registry.Value("phases.control_seconds", control);
+  registry.Value("phases.total_seconds", Total());
 }
 
 StepControlParams MakeStepParams(const SimOptions& options, int num_nodes, int order) {
@@ -179,9 +188,13 @@ IntegrationPlan RefreshPointStates(SolveContext& ctx, const HistoryWindow& windo
 }
 
 TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& structure,
-                                   const TransientSpec& spec, const SimOptions& options) {
+                                   const TransientSpec& spec, const SimOptions& options,
+                                   const IntraSolve& intra) {
   WP_ASSERT(spec.tstop > spec.tstart);
-  util::telemetry::ScopedLane lane(0, "serial-engine");
+  // The fine-grained configuration keeps its own checkpoint tag: a
+  // checkpoint resumes only into the configuration that wrote it.
+  const char* engine_tag = intra.engaged() ? "fine-grained" : "serial";
+  util::telemetry::ScopedLane lane(0, intra.engaged() ? "fine-grained" : "serial-engine");
   util::WallTimer total_timer;
 
   TransientResult result;
@@ -202,6 +215,8 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
   BreakerBoard breakers(res, rstats);
 
   SolveContext ctx(circuit, structure);
+  ctx.assembler = intra.assembler;
+  ctx.factor_pool = intra.factor_pool;
   ctx.ConfigureAcceleration(options);
   if (options.ordering_cache != nullptr) ctx.lu.set_ordering_cache(options.ordering_cache);
   if (options.partition_pieces > 0) {
@@ -211,9 +226,27 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
             : partition::PartitionPattern(structure.pattern(), options.partition_pieces));
   }
   watchdog.AddSource(&ctx.heartbeat);
+  if (intra.pool != nullptr) {
+    watchdog.AddSource(&intra.pool->tasks_started_heartbeat());
+    watchdog.AddSource(&intra.pool->tasks_completed_heartbeat());
+  }
   watchdog.Start();
   ctx.record_factor_seeds = sink.enabled();
   result.last_good_time = spec.tstart;
+
+  // Closes the books on every exit: wall clock and its layer split.  The
+  // merge runs inside the eval clock, so it moves from model_eval to
+  // reduction.
+  const auto finish = [&] {
+    result.stats.wall_seconds = total_timer.Seconds();
+    if (intra.assembler != nullptr) result.assembly = intra.assembler->stats();
+    PhaseBreakdown& phases = result.phases;
+    phases.reduction = result.assembly.merge_seconds;
+    phases.model_eval = std::max(0.0, ctx.eval_seconds - phases.reduction);
+    phases.lu = ctx.lu_seconds;
+    phases.control = std::max(
+        0.0, result.stats.wall_seconds - phases.model_eval - phases.reduction - phases.lu);
+  };
 
   // Factor counters spent PRIMING the linear solvers at resume (replaying
   // the checkpointed seeds) are bookkeeping, not simulation work — this
@@ -247,7 +280,7 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
     // operating point is already inside the history, so the loop continues
     // exactly where the checkpointed process would have.
     const TransientCheckpoint& ck = *res.resume;
-    ValidateResume(ck, "serial", "", options.partition_pieces,
+    ValidateResume(ck, engine_tag, "", options.partition_pieces,
                    static_cast<std::uint64_t>(ctx.x.size()),
                    result.trace.probes().size(), spec.tstop);
     rstats.ckpt_resumed = 1;
@@ -287,7 +320,7 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
       watchdog.Finish();
       result.completed = false;
       result.abort_reason = error.what();
-      result.stats.wall_seconds = total_timer.Seconds();
+      finish();
       return result;
     }
     history.Add(MakeDcSolutionPoint(ctx, spec.tstart));
@@ -303,7 +336,7 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
   // into the snapshot COPY so the running tallies keep accumulating raw.
   const auto snapshot = [&]() -> std::vector<std::uint8_t> {
     TransientCheckpoint ck;
-    ck.engine = "serial";
+    ck.engine = engine_tag;
     ck.partition_pieces = options.partition_pieces;
     ck.num_unknowns = static_cast<std::uint64_t>(ctx.x.size());
     ck.num_probes = result.trace.probes().size();
@@ -352,6 +385,8 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
       const std::uint64_t reprobe = breakers.OnAcceptedStep();
       if (reprobe & FeatureBit(Feature::kChord)) live.chord_newton = options.chord_newton;
       if (reprobe & FeatureBit(Feature::kPartition)) ctx.ReengagePartition();
+      if (reprobe & FeatureBit(Feature::kParallelFactor)) ctx.factor_pool = intra.factor_pool;
+      if (reprobe & FeatureBit(Feature::kParallelAssembly)) ctx.assembler = intra.assembler;
       // No bypass re-probe: DeviceBypass::Disable is terminal, matching the
       // step-floor safety valve's one-way semantics.
     }
@@ -399,11 +434,15 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
       if (live.chord_newton) mask |= FeatureBit(Feature::kChord);
       if (ctx.bypass.active()) mask |= FeatureBit(Feature::kBypass);
       if (ctx.partition_active()) mask |= FeatureBit(Feature::kPartition);
+      if (ctx.factor_pool != nullptr) mask |= FeatureBit(Feature::kParallelFactor);
+      if (ctx.assembler != nullptr) mask |= FeatureBit(Feature::kParallelAssembly);
       const std::uint64_t tripped =
           breakers.OnSolveOutcome(mask, solve.converged, solve.solve_seconds);
       if (tripped & FeatureBit(Feature::kChord)) live.chord_newton = false;
       if (tripped & FeatureBit(Feature::kBypass)) ctx.bypass.Disable();
       if (tripped & FeatureBit(Feature::kPartition)) ctx.DisengagePartition();
+      if (tripped & FeatureBit(Feature::kParallelFactor)) ctx.factor_pool = nullptr;
+      if (tripped & FeatureBit(Feature::kParallelAssembly)) ctx.assembler = nullptr;
     }
     process_newton += static_cast<std::uint64_t>(solve.newton.iterations);
     result.stats.newton_iterations += static_cast<std::uint64_t>(solve.newton.iterations);
@@ -526,11 +565,11 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
   // exhaustion): the newest accepted state is always resumable.
   sink.WriteFinal(snapshot);
   result.last_good_time = history.newest_time();
-  result.stats.wall_seconds = total_timer.Seconds();
   result.stats.AbsorbLuStats(ctx.lu.stats());
   if (ctx.bbd.configured()) result.stats.AbsorbPartitionStats(net_bbd_stats());
   result.stats.bypassed_evals += ctx.bypass.bypassed_evals();
   result.stats.bypass_full_evals += ctx.bypass.full_evals();
+  finish();
   return result;
 }
 

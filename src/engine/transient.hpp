@@ -195,9 +195,42 @@ struct TransientStats {
   }
 };
 
+/// Where the wall clock of a transient run went.  The four layers sum to
+/// TransientStats::wall_seconds: SolveNewton times device evaluation and
+/// factor/solve, the attached assembler reports its merge, and `control` is
+/// the remainder (DC ladder bookkeeping, prediction, LTE, step control,
+/// checkpoints).
+struct PhaseBreakdown {
+  double model_eval = 0.0;  ///< device evaluation, merge excluded
+  double reduction = 0.0;   ///< assembler merge sweep / color barriers
+  double lu = 0.0;          ///< factor + triangular solves
+  double control = 0.0;     ///< everything else
+
+  double Total() const { return model_eval + reduction + lu + control; }
+
+  /// Registers the breakdown under the `phases.` prefix (util/telemetry.hpp).
+  void ExportCounters(util::telemetry::CounterRegistry& registry) const;
+};
+
+/// Intra-solve parallelism for RunTransientSerial: the conventional
+/// fine-grained SPICE configuration.  The time axis stays serial; each
+/// Newton iteration's device evaluation runs on `assembler` and its LU on
+/// `factor_pool`.  Nothing is owned (parallel::RunTransientFineGrained
+/// builds and keeps them).  The default value is the plain serial engine.
+struct IntraSolve {
+  DeviceAssembler* assembler = nullptr;
+  util::ThreadPool* factor_pool = nullptr;
+  /// Workers behind the two above; their heartbeats feed the stall watchdog.
+  util::ThreadPool* pool = nullptr;
+
+  bool engaged() const { return assembler != nullptr || factor_pool != nullptr; }
+};
+
 struct TransientResult {
   Trace trace;
   TransientStats stats;
+  PhaseBreakdown phases;
+  AssemblyStats assembly;  ///< the intra-solve assembler's; "serial" otherwise
   /// Durable-run telemetry (ckpt./watchdog./resilience. counter groups); all
   /// zero unless SimOptions::resilience engaged something.
   ResilienceStats resilience;
@@ -212,9 +245,14 @@ struct TransientResult {
 };
 
 /// Conventional serial SPICE transient loop: DC operating point, then
-/// LTE-controlled variable-step integration with breakpoint handling.
+/// LTE-controlled variable-step integration with breakpoint handling.  An
+/// engaged `intra` makes it the fine-grained engine: same loop, same step
+/// sequence, device evaluation and LU split across a pool inside each solve,
+/// and the parallel-assembly / parallel-factor circuit breakers armed.  Its
+/// checkpoints carry the engine tag "fine-grained".
 TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& structure,
-                                   const TransientSpec& spec, const SimOptions& options);
+                                   const TransientSpec& spec, const SimOptions& options,
+                                   const IntraSolve& intra = {});
 
 /// Step scheduling limits shared by the serial and WavePipe drivers.
 struct StepLimits {

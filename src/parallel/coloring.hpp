@@ -145,8 +145,8 @@ std::unique_ptr<engine::DeviceAssembler> MakeAssembler(
 ///   serial:     zero + stamp                      (nothing scales)
 ///   reduction:  zero + stamp/k + merge*k          (merge sweeps k buffers)
 ///   colored:    (zero + stamp)/k + merge          (barriers don't shrink)
-/// This is how the assembly bench reports multi-thread throughput from a
-/// 1-vCPU container.
+/// The assembly bench reports it as a modeled diagnostic next to the measured
+/// one-thread phases; perfbench/ measures wall clock end to end.
 double ModelAssemblySeconds(const engine::AssemblyStats& measured, int threads);
 
 }  // namespace wavepipe::parallel

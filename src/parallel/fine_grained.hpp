@@ -1,13 +1,18 @@
 // Conventional fine-grained parallel SPICE: the baseline WavePipe is
 // positioned against in the paper.
 //
-// Parallelism lives INSIDE each time-point solve: device model evaluation is
-// distributed across worker threads, while the time axis, the Newton
-// iteration and the sparse LU remain strictly sequential.  Its scaling is
-// therefore Amdahl-limited by the matrix solution — the motivation the paper
-// opens with, and the effect the fig-D bench quantifies.
+// Fine-grained is not a separate engine.  It is engine::RunTransientSerial —
+// the one serial step loop and the one Newton loop (engine::SolveNewton) —
+// with an intra-solve pool attached to its SolveContext (engine::IntraSolve):
+// device model evaluation is distributed across worker threads, and LU
+// refactorization / triangular solves optionally run level-scheduled on the
+// same workers, while the time axis and the Newton iteration stay strictly
+// sequential.  Its scaling is therefore Amdahl-limited by the matrix
+// solution — the motivation the paper opens with, and the effect the fig-D
+// bench quantifies.  Step control, rescue ladder, bypass safety valve,
+// checkpoints, budgets, watchdog and breakers are the serial loop's own.
 //
-// Two assembly strategies sit behind the evaluator (see parallel/coloring.hpp):
+// Two assembly strategies sit behind the pool (see parallel/coloring.hpp):
 //
 //  * reduction — each worker accumulates into a private Jacobian/RHS copy,
 //    merged serially afterwards (the historical baseline; the merge is the
@@ -21,9 +26,7 @@
 
 #include "engine/circuit.hpp"
 #include "engine/mna.hpp"
-#include "engine/newton.hpp"
 #include "engine/options.hpp"
-#include "engine/trace.hpp"
 #include "engine/transient.hpp"
 #include "parallel/coloring.hpp"
 
@@ -45,40 +48,12 @@ struct FineGrainedOptions {
   engine::SimOptions sim;
 };
 
-/// Where the CPU time of a run went (thread-CPU seconds, summed over
-/// workers for the parallel phase).
-struct PhaseBreakdown {
-  double model_eval = 0.0;  ///< device evaluation (parallelizable)
-  double reduction = 0.0;   ///< summing private Jacobian/RHS copies (overhead)
-  double lu = 0.0;          ///< factor + triangular solves (serial)
-  double control = 0.0;     ///< everything else: predictor, LTE, bookkeeping
+using PhaseBreakdown = engine::PhaseBreakdown;
+using FineGrainedResult = engine::TransientResult;
 
-  double Total() const { return model_eval + reduction + lu + control; }
-
-  /// Registers the breakdown under the `phases.` prefix (util/telemetry.hpp).
-  void ExportCounters(util::telemetry::CounterRegistry& registry) const;
-};
-
-struct FineGrainedResult {
-  engine::Trace trace;
-  engine::TransientStats stats;
-  PhaseBreakdown phases;
-  engine::AssemblyStats assembly;  ///< strategy chosen + per-phase assembly time
-  engine::SolutionPointPtr final_point;
-  /// Structured failure reporting (same contract as TransientResult): an
-  /// unconverged step at hmin, a budget stop, or a watchdog escalation ends
-  /// the run with completed=false and the waveform up to last_good_time
-  /// intact instead of an unwound stack.
-  bool completed = true;
-  std::string abort_reason;
-  double last_good_time = 0.0;
-  /// Durable-run telemetry (ckpt./watchdog./resilience. counter groups).
-  engine::ResilienceStats resilience;
-};
-
-/// Runs the fine-grained-parallel transient.  Waveforms are identical to the
-/// serial engine (same math, same step control) — only the evaluation is
-/// distributed.
+/// Runs the fine-grained-parallel transient: builds the worker pool and the
+/// assembler, then runs engine::RunTransientSerial with them attached.  With
+/// one thread and serial LU it is the serial engine, bit for bit.
 FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
                                           const engine::MnaStructure& structure,
                                           const engine::TransientSpec& spec,

@@ -28,9 +28,9 @@ class WallTimer {
 /// Per-thread CPU-time stopwatch (CLOCK_THREAD_CPUTIME_ID).
 ///
 /// The WavePipe ledger records the cost of each nonlinear solve with this
-/// clock, NOT wall time: when more tasks run than cores exist (always true
-/// on a 1-vCPU container), concurrently scheduled tasks time-share the core
-/// and each would see the others' slices in its wall time.  Thread CPU time
+/// clock, NOT wall time: when more tasks run than free cores exist,
+/// concurrently scheduled tasks time-share a core and each would see the
+/// others' slices in its wall time.  Thread CPU time
 /// is exactly the single-thread cost the virtual pipeline replay needs.
 class ThreadCpuTimer {
  public:

@@ -24,7 +24,6 @@
 
 #include "engine/newton.hpp"
 #include "engine/transient.hpp"
-#include "parallel/fine_grained.hpp"
 #include "batch/stats.hpp"
 #include "reduce/reduce.hpp"
 #include "util/telemetry.hpp"
@@ -93,7 +92,7 @@ struct RunCounterInputs {
   engine::AssemblyStats assembly;
   PipelineSchedStats sched;
   SpecPolicyStats spec;
-  parallel::PhaseBreakdown phases;
+  engine::PhaseBreakdown phases;
   ReplayResult replay;
   const Ledger* ledger = nullptr;
   /// Durable-run counters (v1.2): ckpt.*, watchdog.*, resilience.*.

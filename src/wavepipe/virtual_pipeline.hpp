@@ -1,13 +1,13 @@
 // Virtual-time replay: list-schedules a Ledger's task DAG onto k workers and
-// reports the makespan.  See ledger.hpp for why this stands in for multi-core
-// wall clock on this single-core container.
+// reports the makespan — a model of multi-core wall clock (see ledger.hpp),
+// kept as a diagnostic next to perfbench/'s measured wall clock.
 //
 // Besides whole-solve records, a ledger can carry INTRA-solve tasks —
 // assembly color phases and refactorization columns — appended via
 // AppendAssemblyTasks()/AppendFactorTasks().  Replaying such a ledger models
 // the fine-grained execution (colored assembly feeding a level-scheduled
-// refactorization) on k workers, which is how bench_factor projects
-// multi-thread factorization throughput from a 1-vCPU container.
+// refactorization) on k workers, which is how bench_factor models
+// multi-thread factorization throughput.
 #pragma once
 
 #include <vector>

@@ -15,6 +15,7 @@
 #include "engine/transient.hpp"
 #include "netlist/elaborate.hpp"
 #include "parallel/fine_grained.hpp"
+#include "testutil/engines.hpp"
 #include "util/fault.hpp"
 #include "wavepipe/wavepipe.hpp"
 
@@ -337,6 +338,8 @@ TEST(DeviceBypassTest, WavePipeCombinedParityWithAcceleration) {
 // steps, an effective hang — with bypass at the default tolerance.  The
 // step-floor safety valve must disable the bypass mid-run and let the step
 // size recover, finishing in a step count comparable to the bypass-off run.
+// The valve belongs to the serial step loop, so the fine-grained
+// configuration of that loop must trip it the same way.
 TEST(DeviceBypassTest, StepFloorValveDisablesBypassOnLteStarvedDeck) {
   const char* deck = R"(valve regression
 .model mn NMOS (vto=0.7 kp=120u)
@@ -354,21 +357,24 @@ C2 o2 0 5f
   const auto elaborated = netlist::ParseAndElaborate(deck);
   const MnaStructure mna(*elaborated.circuit);
 
-  SimOptions base_options = elaborated.sim_options;
-  const auto base = RunTransientSerial(*elaborated.circuit, mna,
-                                       elaborated.spec, base_options);
-  ASSERT_TRUE(base.completed);
+  for (const auto& engine : testutil::LoopEngines()) {
+    SCOPED_TRACE(engine.name);
+    SimOptions base_options = elaborated.sim_options;
+    const auto base = testutil::RunLoopEngine(engine, *elaborated.circuit, mna,
+                                              elaborated.spec, base_options);
+    ASSERT_TRUE(base.completed);
 
-  SimOptions accel_options = base_options;
-  accel_options.device_bypass = true;
-  const auto accel = RunTransientSerial(*elaborated.circuit, mna,
-                                        elaborated.spec, accel_options);
-  ASSERT_TRUE(accel.completed);
-  EXPECT_GE(accel.stats.bypass_auto_disables, 1u);
-  // Valve streak + recovery on top of the baseline economy, nowhere near the
-  // ~1e9 hmin crawl.
-  EXPECT_LE(accel.stats.steps_accepted,
-            base.stats.steps_accepted + 4 * DeviceBypass::kFloorStreakLimit);
+    SimOptions accel_options = base_options;
+    accel_options.device_bypass = true;
+    const auto accel = testutil::RunLoopEngine(engine, *elaborated.circuit, mna,
+                                               elaborated.spec, accel_options);
+    ASSERT_TRUE(accel.completed);
+    EXPECT_GE(accel.stats.bypass_auto_disables, 1u);
+    // Valve streak + recovery on top of the baseline economy, nowhere near the
+    // ~1e9 hmin crawl.
+    EXPECT_LE(accel.stats.steps_accepted,
+              base.stats.steps_accepted + 4 * DeviceBypass::kFloorStreakLimit);
+  }
 }
 
 // The trace pre-reservation satellite: the estimate is additive, capped, and

@@ -15,7 +15,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
+
+#include "testutil/json.hpp"
 
 namespace {
 
@@ -182,6 +185,34 @@ TEST(CliExitCodes, DeckWithoutTranIsParseError) {
                                      "R1 in 0 1k\n"
                                      ".end\n");
   EXPECT_EQ(RunCli(deck), 2);
+}
+
+// Two ideal sources fighting over one node: no DC operating point exists.
+// Both configurations of the serial loop (plain and fine-grained) end in a
+// structured abort — exit 4 with a stats JSON marking the run incomplete —
+// rather than an unwound analysis failure (exit 3, no JSON).
+TEST(CliExitCodes, DcFailureIsIncompleteWithStats) {
+  const std::string deck = WriteDeck("cli_dc_fight.sp",
+                                     "fighting sources\n"
+                                     "V1 a 0 DC 1\n"
+                                     "V2 a 0 DC 2\n"
+                                     "R1 a 0 1k\n"
+                                     ".tran 1u 10u\n"
+                                     ".end\n");
+  for (const std::string engine : {"serial", "finegrained"}) {
+    SCOPED_TRACE(engine);
+    const std::string json = ::testing::TempDir() + "/cli_dc_fight_" + engine + "." +
+                             std::to_string(::getpid()) + ".json";
+    std::remove(json.c_str());
+    EXPECT_EQ(RunCli(deck + " --engine " + engine + " --stats-json " + json), 4);
+    std::ifstream in(json);
+    ASSERT_TRUE(in.good()) << "no stats JSON written";
+    const std::string text(std::istreambuf_iterator<char>(in), {});
+    const wavepipe::testutil::JsonValue doc = wavepipe::testutil::ParseJson(text);
+    ASSERT_EQ(doc.at("completed").kind, wavepipe::testutil::JsonValue::Kind::kBool);
+    EXPECT_FALSE(doc.at("completed").boolean);
+    std::remove(json.c_str());
+  }
 }
 
 TEST(CliExitCodes, BudgetExhaustionIsIncomplete) {

@@ -24,14 +24,27 @@ TEST(FineGrained, MatchesSerialWaveform) {
 }
 
 TEST(FineGrained, SingleThreadDegenerates) {
-  const auto gen = circuits::MakeRcLadder(20);
-  engine::MnaStructure mna(*gen.circuit);
-  FineGrainedOptions options;
-  options.threads = 1;
-  const auto fg = RunTransientFineGrained(*gen.circuit, mna, gen.spec, options);
-  const auto serial =
-      engine::RunTransientSerial(*gen.circuit, mna, gen.spec, engine::SimOptions{});
-  EXPECT_LT(engine::Trace::MaxDeviationAll(serial.trace, fg.trace), 1e-9);
+  // One thread, serial LU: the fine-grained configuration of the serial loop
+  // is the serial engine, bit for bit and decision for decision.
+  std::vector<circuits::GeneratedCircuit> gens;
+  gens.push_back(circuits::MakeRcLadder(20));
+  gens.push_back(circuits::MakeDiodeRectifier(2));
+  gens.push_back(circuits::MakeRingOscillator(5));
+  gens.push_back(circuits::MakeParasiticLadder(4, 4));
+  for (const auto& gen : gens) {
+    engine::MnaStructure mna(*gen.circuit);
+    FineGrainedOptions options;
+    options.threads = 1;
+    const auto fg = RunTransientFineGrained(*gen.circuit, mna, gen.spec, options);
+    const auto serial =
+        engine::RunTransientSerial(*gen.circuit, mna, gen.spec, engine::SimOptions{});
+    EXPECT_EQ(engine::Trace::MaxDeviationAll(serial.trace, fg.trace), 0.0) << gen.name;
+    EXPECT_EQ(fg.stats.steps_accepted, serial.stats.steps_accepted) << gen.name;
+    EXPECT_EQ(fg.stats.newton_iterations, serial.stats.newton_iterations) << gen.name;
+    EXPECT_EQ(fg.stats.lu_full_factors + fg.stats.lu_refactors,
+              serial.stats.lu_full_factors + serial.stats.lu_refactors)
+        << gen.name;
+  }
 }
 
 TEST(FineGrained, PhaseBreakdownPopulated) {

@@ -311,8 +311,8 @@ class FineGrainedFaultTest : public ::testing::Test {
 };
 
 TEST_F(FineGrainedFaultTest, SchurFactorFaultIsAbsorbedAsNewtonFailure) {
-  // Regression: a SingularMatrixError from the BBD Schur factor inside the
-  // fine-grained Newton loop used to unwind the whole run.  It must instead
+  // Regression: a SingularMatrixError from the BBD Schur factor inside a
+  // fine-grained Newton solve used to unwind the whole run.  It must instead
   // surface as a failed solve (steps_rejected_newton) recovered by the
   // step-shrink ladder, exactly like the serial engine.
   const auto gen = circuits::MakeRcMesh(8, 8);

@@ -15,6 +15,7 @@
 #include "circuits/generators.hpp"
 #include "engine/transient.hpp"
 #include "parallel/fine_grained.hpp"
+#include "testutil/engines.hpp"
 #include "testutil/json.hpp"
 #include "util/telemetry.hpp"
 #include "wavepipe/virtual_pipeline.hpp"
@@ -125,6 +126,34 @@ double CounterValue(const util::telemetry::CounterRegistry& registry,
   }
   ADD_FAILURE() << "counter not found: " << name;
   return -1.0;
+}
+
+// The serial loop measures its own layers: device eval and factor/solve are
+// timed inside SolveNewton, the remainder is control, and the four exported
+// phases add up to the run's wall clock.
+TEST(RunStatsJsonTest, SerialLoopPhasesAreMeasuredAndSumToWall) {
+  const auto gen = circuits::MakeInverterChain(8);
+  const engine::MnaStructure mna(*gen.circuit);
+  for (const auto& engine : testutil::LoopEngines()) {
+    SCOPED_TRACE(engine.name);
+    const auto run = testutil::RunLoopEngine(engine, *gen.circuit, mna, gen.spec);
+    ASSERT_TRUE(run.completed) << run.abort_reason;
+    RunCounterInputs inputs;
+    inputs.stats = run.stats;
+    inputs.assembly = run.assembly;
+    inputs.phases = run.phases;
+    const auto registry = BuildRunCounters(inputs);
+
+    EXPECT_GT(CounterValue(registry, "phases.model_eval_seconds"), 0.0);
+    EXPECT_GT(CounterValue(registry, "phases.lu_seconds"), 0.0);
+    const double sum = CounterValue(registry, "phases.model_eval_seconds") +
+                       CounterValue(registry, "phases.reduction_seconds") +
+                       CounterValue(registry, "phases.lu_seconds") +
+                       CounterValue(registry, "phases.control_seconds");
+    const double wall = CounterValue(registry, "transient.wall_seconds");
+    ASSERT_GT(wall, 0.0);
+    EXPECT_NEAR(sum, wall, 0.05 * wall);
+  }
 }
 
 TEST(RunStatsJsonTest, PerSchemeSubKeysAttributeWorkToTheConfiguredScheme) {

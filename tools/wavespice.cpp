@@ -638,45 +638,35 @@ int main(int argc, char** argv) {
     run.info.deck = elaborated.title.empty() ? cli.deck_path : elaborated.title;
     run.info.threads = cli.threads;
 
-    if (cli.engine == EngineKind::kSerial) {
-      const auto result =
-          engine::RunTransientSerial(*elaborated.circuit, mna, elaborated.spec, sim);
-      std::printf("engine serial: %zu steps, %llu Newton iterations, dcop via %s, "
-                  "wall %.3f s\n",
+    if (cli.engine != EngineKind::kPipeline) {
+      // One transient loop serves both: fine-grained is the serial loop with
+      // an intra-solve pool attached (parallel/fine_grained.hpp).
+      const bool fine = cli.engine == EngineKind::kFineGrained;
+      parallel::FineGrainedOptions fine_options;
+      fine_options.threads = cli.threads;
+      fine_options.sim = sim;
+      const engine::TransientResult result =
+          fine ? parallel::RunTransientFineGrained(*elaborated.circuit, mna, elaborated.spec,
+                                                   fine_options)
+               : engine::RunTransientSerial(*elaborated.circuit, mna, elaborated.spec, sim);
+      if (fine) {
+        std::printf("engine finegrained (%d threads, %s assembly): ", cli.threads,
+                    result.assembly.strategy);
+      } else {
+        std::printf("engine serial: ");
+      }
+      std::printf("%zu steps, %llu Newton iterations, dcop via %s, wall %.3f s\n",
                   result.stats.steps_accepted,
                   static_cast<unsigned long long>(result.stats.newton_iterations),
                   result.stats.dcop_strategy.c_str(), result.stats.wall_seconds);
       run.trace = result.trace;
-      run.info.engine = "serial";
-      run.info.threads = 1;
-      run.info.dcop_strategy = result.stats.dcop_strategy;
-      run.info.completed = result.completed;
-      run.info.abort_reason = result.abort_reason;
-      run.info.last_good_time = result.last_good_time;
-      run.counters.stats = result.stats;
-      run.counters.resilience = result.resilience;
-    } else if (cli.engine == EngineKind::kFineGrained) {
-      parallel::FineGrainedOptions options;
-      options.threads = cli.threads;
-      options.sim = sim;
-      const auto result =
-          parallel::RunTransientFineGrained(*elaborated.circuit, mna, elaborated.spec,
-                                            options);
-      std::printf("engine finegrained (%d threads, %s assembly): %zu steps, "
-                  "%llu Newton iterations, dcop via %s, wall %.3f s\n",
-                  cli.threads, result.assembly.strategy, result.stats.steps_accepted,
-                  static_cast<unsigned long long>(result.stats.newton_iterations),
-                  result.stats.dcop_strategy.c_str(), result.stats.wall_seconds);
-      run.trace = result.trace;
-      run.info.engine = "fine-grained";
+      run.info.engine = fine ? "fine-grained" : "serial";
+      run.info.threads = fine ? cli.threads : 1;
       run.info.dcop_strategy = result.stats.dcop_strategy;
       run.info.assembly_strategy = result.assembly.strategy;
       run.info.completed = result.completed;
       run.info.abort_reason = result.abort_reason;
-      run.info.last_good_time =
-          result.trace.num_samples() > 0
-              ? result.trace.time(result.trace.num_samples() - 1)
-              : elaborated.spec.tstart;
+      run.info.last_good_time = result.last_good_time;
       run.counters.stats = result.stats;
       run.counters.assembly = result.assembly;
       run.counters.phases = result.phases;
