@@ -1,5 +1,5 @@
 // Aggregate counters of one batch run, exported as the `batch.*` group of
-// run_stats.json (schema v1.4, appended last).
+// run_stats.json (schema v1.4, appended after `reduce.*`).
 //
 // Header-only on purpose: wavepipe/trace_export.cpp exports the group for
 // EVERY engine (all zeros outside batch mode, keeping the schema key set

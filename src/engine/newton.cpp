@@ -19,6 +19,8 @@ void NewtonStats::ExportCounters(util::telemetry::CounterRegistry& registry) con
   registry.Count("newton.lu_refactors", static_cast<std::uint64_t>(lu_refactors));
   registry.Count("newton.chord_solves", static_cast<std::uint64_t>(chord_solves));
   registry.Count("newton.forced_refactors", static_cast<std::uint64_t>(forced_refactors));
+  registry.Count("newton.factor_cache_hits", static_cast<std::uint64_t>(factor_cache_hits));
+  registry.Count("newton.factor_cache_misses", static_cast<std::uint64_t>(factor_cache_misses));
   registry.Count("newton.singular", singular ? 1 : 0);
 }
 
@@ -297,6 +299,45 @@ void ChordPolicy::Settle(bool converged) {
   }
 }
 
+namespace {
+
+/// One monolithic factor demand.  A linear circuit's context consults its
+/// factor cache first; otherwise, and on a miss, FactorOrRefactor() runs as
+/// always.  A Refactor() result is cached, a full Factor() empties the cache
+/// (see engine/factor_cache.hpp).  Throws SingularMatrixError like
+/// FactorOrRefactor(), the `lu.pivot` fault site included.
+void DemandFactor(SolveContext& ctx, const NewtonInputs& inputs, NewtonStats& stats) {
+  FactorCache& cache = ctx.factor_cache;
+  const bool cacheable = cache.enabled() && !ctx.circuit().is_nonlinear();
+  const FactorCache::Key key{inputs.a0, inputs.gshunt};
+  const auto values = ctx.matrix.values();
+  if (cacheable) {
+    if (cache.Serve(ctx.lu, key, values)) {
+      ++stats.factor_cache_hits;
+      ctx.RecordFactorSeeds(ctx.lu_seeds, /*did_full_factor=*/false);
+      return;
+    }
+    ++stats.factor_cache_misses;
+  }
+  WP_TSPAN("factor", "lu_factor");
+  const sparse::SparseLu::Stats before = ctx.lu.stats();
+  ctx.lu.FactorOrRefactor(ctx.matrix, ctx.factor_pool);
+  const sparse::SparseLu::Stats after = ctx.lu.stats();
+  const bool full = after.factor_count != before.factor_count;
+  stats.lu_full_factors += static_cast<int>(after.factor_count - before.factor_count);
+  stats.lu_refactors += static_cast<int>(after.refactor_count - before.refactor_count);
+  if (cacheable) {
+    if (full) {
+      cache.Clear();
+    } else {
+      cache.Insert(ctx.lu, key, values);
+    }
+  }
+  ctx.RecordFactorSeeds(ctx.lu_seeds, full);
+}
+
+}  // namespace
+
 NewtonStats SolveNewton(SolveContext& ctx, const NewtonInputs& inputs,
                         const SimOptions& options, int max_iterations) {
   const int n = ctx.structure().dimension();
@@ -379,12 +420,9 @@ NewtonStats SolveNewton(SolveContext& ctx, const NewtonInputs& inputs,
       std::copy(ctx.rhs.begin(), ctx.rhs.end(), ctx.x_new.begin());
       ctx.bbd.Solve(ctx.x_new, ctx.factor_pool);
     } else {
-      const auto before_factor = ctx.lu.stats().factor_count;
-      const auto before_refactor = ctx.lu.stats().refactor_count;
       chord.NoteFactorAttempt();
       try {
-        WP_TSPAN("factor", "lu_factor");
-        ctx.lu.FactorOrRefactor(ctx.matrix, ctx.factor_pool);
+        DemandFactor(ctx, inputs, stats);
       } catch (const SingularMatrixError&) {
         // A singular pivot at this trial point is reported as a failed solve,
         // not an unwound simulation: the caller shrinks the step or climbs the
@@ -395,10 +433,6 @@ NewtonStats SolveNewton(SolveContext& ctx, const NewtonInputs& inputs,
         chord.Settle(false);
         return stats;
       }
-      stats.lu_full_factors += static_cast<int>(ctx.lu.stats().factor_count - before_factor);
-      stats.lu_refactors += static_cast<int>(ctx.lu.stats().refactor_count - before_refactor);
-      ctx.RecordFactorSeeds(ctx.lu_seeds,
-                            ctx.lu.stats().factor_count != before_factor);
       chord.NoteFreshFactor();
 
       WP_TSPAN("solve", "triangular_solve");

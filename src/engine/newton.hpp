@@ -12,6 +12,7 @@
 
 #include "engine/bypass.hpp"
 #include "engine/circuit.hpp"
+#include "engine/factor_cache.hpp"
 #include "engine/mna.hpp"
 #include "engine/options.hpp"
 #include "sparse/bbd.hpp"
@@ -38,6 +39,12 @@ struct NewtonStats {
   /// Refactorizations forced by the chord safety net: degraded contraction
   /// rate, exhausted per-factor iteration budget, or fault injection.
   int forced_refactors = 0;
+  /// Factor demands ctx.factor_cache served, and those it was consulted on
+  /// but could not serve (both 0 unless the cache is configured and the
+  /// circuit is linear).  lu_full_factors + lu_refactors + factor_cache_hits
+  /// counts every monolithic factor demand.
+  int factor_cache_hits = 0;
+  int factor_cache_misses = 0;
   /// The iteration aborted on a singular (or injected) pivot failure rather
   /// than plain non-convergence.  Reported instead of letting the
   /// SingularMatrixError unwind: a singular Jacobian at one trial point is a
@@ -290,6 +297,10 @@ class SolveContext {
 
   /// Chord-Newton factor reuse state (see SolveNewton).
   FactorReusePolicy factor_reuse;
+
+  /// Exact numeric-factor reuse for linear circuits (engine/factor_cache.hpp).
+  /// Disabled until the owning driver configures a budget.
+  FactorCache factor_cache;
 
   /// Factor-replay seeds for checkpoint/restart (engine/resilience.hpp).
   /// Maintained by SolveNewton only while record_factor_seeds is set.

@@ -49,6 +49,10 @@ void WriteStats(ByteWriter& w, const TransientStats& s) {
   w.U64(s.partition_schur_factors);
   w.U64(s.partition_schur_nnz);
   w.F64(s.partition_schur_seconds);
+  w.U64(s.factor_cache.hits);
+  w.U64(s.factor_cache.misses);
+  w.U64(s.factor_cache.evictions);
+  w.U64(s.factor_cache.peak_bytes);
 }
 
 TransientStats ReadStats(ByteReader& r) {
@@ -84,6 +88,10 @@ TransientStats ReadStats(ByteReader& r) {
   s.partition_schur_factors = r.U64();
   s.partition_schur_nnz = r.U64();
   s.partition_schur_seconds = r.F64();
+  s.factor_cache.hits = r.U64();
+  s.factor_cache.misses = r.U64();
+  s.factor_cache.evictions = r.U64();
+  s.factor_cache.peak_bytes = r.U64();
   return s;
 }
 

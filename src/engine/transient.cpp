@@ -215,6 +215,10 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
   BreakerBoard breakers(res, rstats);
 
   SolveContext ctx(circuit, structure);
+  // Runs that are tasks of one pool (batch variants) split one run budget,
+  // as pipeline slots do; a run on its own gets all of it.
+  ctx.factor_cache.Configure(
+      FactorCache::ShareOfRun(std::max(1u, util::ThreadPool::CurrentPoolSize())));
   ctx.assembler = intra.assembler;
   ctx.factor_pool = intra.factor_pool;
   ctx.ConfigureAcceleration(options);
@@ -357,6 +361,7 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
     }
     ck.stats = result.stats;
     ck.stats.AbsorbLuStats(ctx.lu.stats());
+    ck.stats.AbsorbFactorCache(ctx.factor_cache);
     if (ctx.bbd.configured()) ck.stats.AbsorbPartitionStats(net_bbd_stats());
     ck.stats.bypassed_evals += ctx.bypass.bypassed_evals();
     ck.stats.bypass_full_evals += ctx.bypass.full_evals();
@@ -445,11 +450,7 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
       if (tripped & FeatureBit(Feature::kParallelAssembly)) ctx.assembler = nullptr;
     }
     process_newton += static_cast<std::uint64_t>(solve.newton.iterations);
-    result.stats.newton_iterations += static_cast<std::uint64_t>(solve.newton.iterations);
-    result.stats.lu_full_factors += static_cast<std::uint64_t>(solve.newton.lu_full_factors);
-    result.stats.lu_refactors += static_cast<std::uint64_t>(solve.newton.lu_refactors);
-    result.stats.chord_solves += static_cast<std::uint64_t>(solve.newton.chord_solves);
-    result.stats.forced_refactors += static_cast<std::uint64_t>(solve.newton.forced_refactors);
+    result.stats.AbsorbNewton(solve.newton);
 
     if (!solve.converged) {
       WP_TINSTANT("lte", "newton_reject");
@@ -566,6 +567,7 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
   sink.WriteFinal(snapshot);
   result.last_good_time = history.newest_time();
   result.stats.AbsorbLuStats(ctx.lu.stats());
+  result.stats.AbsorbFactorCache(ctx.factor_cache);
   if (ctx.bbd.configured()) result.stats.AbsorbPartitionStats(net_bbd_stats());
   result.stats.bypassed_evals += ctx.bypass.bypassed_evals();
   result.stats.bypass_full_evals += ctx.bypass.full_evals();

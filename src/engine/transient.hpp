@@ -3,6 +3,7 @@
 // experiment compares against).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <span>
 #include <string>
@@ -162,11 +163,32 @@ struct TransientStats {
   std::uint64_t partition_schur_factors = 0;
   std::size_t partition_schur_nnz = 0;
   double partition_schur_seconds = 0.0;
+  /// Exact factor reuse (engine/factor_cache.hpp): hits and misses summed
+  /// over solves, evictions and peak bytes absorbed from each context's
+  /// cache.  Exported as its own run_stats group, not by ExportCounters().
+  FactorCacheStats factor_cache;
 
   /// Registers every field under the `transient.` prefix, the absorbed LU
   /// block under `lu.` (util/telemetry.hpp).  Rescue counters expand to one
   /// counter per rung, named by RescueRungName().
   void ExportCounters(util::telemetry::CounterRegistry& registry) const;
+
+  /// Adds one time-point solve's Newton and factor-demand counters.
+  void AbsorbNewton(const NewtonStats& newton) {
+    newton_iterations += static_cast<std::uint64_t>(newton.iterations);
+    lu_full_factors += static_cast<std::uint64_t>(newton.lu_full_factors);
+    lu_refactors += static_cast<std::uint64_t>(newton.lu_refactors);
+    chord_solves += static_cast<std::uint64_t>(newton.chord_solves);
+    forced_refactors += static_cast<std::uint64_t>(newton.forced_refactors);
+    factor_cache.hits += static_cast<std::uint64_t>(newton.factor_cache_hits);
+    factor_cache.misses += static_cast<std::uint64_t>(newton.factor_cache_misses);
+  }
+
+  /// Merges one context's factor-cache eviction count and peak footprint.
+  void AbsorbFactorCache(const FactorCache& cache) {
+    factor_cache.evictions += cache.evictions();
+    factor_cache.peak_bytes = std::max(factor_cache.peak_bytes, cache.peak_bytes());
+  }
 
   /// Copies the LU telemetry block from a solver's stats snapshot.
   void AbsorbLuStats(const sparse::SparseLu::Stats& lu) {

@@ -49,6 +49,7 @@ SparseLu::SparseLu(Options options) : options_(options) {}
 void SparseLu::Reset(const Options& options) {
   options_ = options;
   factored_ = false;
+  ++generation_;
   n_ = 0;
   pattern_nnz_ = 0;
   ordering_cached_ = false;
@@ -155,6 +156,7 @@ void SparseLu::Factor(const CscMatrix& matrix) {
   n_ = matrix.cols();
   pattern_nnz_ = matrix.num_nonzeros();
   factored_ = false;
+  ++generation_;
 
   ComputeOrdering(matrix);
 
@@ -277,6 +279,7 @@ void SparseLu::Factor(const CscMatrix& matrix) {
 
 void SparseLu::CopyFactorization(const SparseLu& source) {
   WP_ASSERT(source.factored_);
+  ++generation_;
   options_ = source.options_;
   stats_.nnz_l = source.stats_.nnz_l;
   stats_.nnz_u = source.stats_.nnz_u;
@@ -319,6 +322,25 @@ void SparseLu::CopyFactorization(const SparseLu& source) {
   serial_refactor_flops_ = source.serial_refactor_flops_;
   // Refactor() relies on work_ being zero; Factor() re-sizes the rest.
   work_.assign(static_cast<std::size_t>(n_), 0.0);
+}
+
+void SparseLu::SaveNumeric(std::span<double> out) const {
+  WP_ASSERT(factored_);
+  WP_ASSERT(out.size() == numeric_size());
+  auto it = std::copy(lx_.begin(), lx_.end(), out.begin());
+  it = std::copy(ux_.begin(), ux_.end(), it);
+  std::copy(udiag_.begin(), udiag_.end(), it);
+}
+
+void SparseLu::LoadNumeric(std::span<const double> in) {
+  WP_ASSERT(factored_);
+  WP_ASSERT(in.size() == numeric_size());
+  auto it = in.begin();
+  std::copy(it, it + static_cast<std::ptrdiff_t>(lx_.size()), lx_.begin());
+  it += static_cast<std::ptrdiff_t>(lx_.size());
+  std::copy(it, it + static_cast<std::ptrdiff_t>(ux_.size()), ux_.begin());
+  it += static_cast<std::ptrdiff_t>(ux_.size());
+  std::copy(it, in.end(), udiag_.begin());
 }
 
 void SparseLu::BuildSchedules() {

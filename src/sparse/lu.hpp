@@ -198,6 +198,25 @@ class SparseLu {
                    std::span<double> x, std::vector<double>& residual,
                    std::vector<double>& solve_workspace, util::ThreadPool* pool) const;
 
+  /// Doubles in the numeric half of the factorization: exactly the arrays
+  /// Refactor() rewrites (L's and U's values and U's diagonal).  Refactor()
+  /// is a pure function of (symbolic state, matrix values), so factors saved
+  /// after one Refactor() and loaded back while symbolic_generation() is
+  /// unchanged reproduce that Refactor()'s state bit for bit
+  /// (engine/factor_cache.hpp relies on this).
+  std::size_t numeric_size() const { return lx_.size() + ux_.size() + udiag_.size(); }
+  /// Copies the numeric factors into `out` (numeric_size() doubles).
+  /// Precondition: factored().
+  void SaveNumeric(std::span<double> out) const;
+  /// Overwrites the numeric factors with `in`, saved from this instance
+  /// under the current symbolic_generation().  Precondition: factored().
+  void LoadNumeric(std::span<const double> in);
+
+  /// Identifies the symbolic state (ordering, pivot sequence, factor
+  /// patterns).  Bumped at the start of every Factor() (a throwing one
+  /// included), by CopyFactorization() and by Reset(); Refactor() keeps it.
+  std::uint64_t symbolic_generation() const { return generation_; }
+
   /// Attaches a shared fill-reducing-ordering cache (not owned; may be null
   /// to detach).  Factor() consults it after the private single-slot cache
   /// misses and publishes freshly computed orderings into it, so several
@@ -261,6 +280,7 @@ class SparseLu {
   mutable std::atomic<std::uint64_t> parallel_solve_count_{0};
   mutable std::atomic<std::uint64_t> chord_step_count_{0};
   bool factored_ = false;
+  std::uint64_t generation_ = 0;  // see symbolic_generation()
   int n_ = 0;
   std::size_t pattern_nnz_ = 0;  // nnz of the matrix Factor() saw
 

@@ -5,7 +5,7 @@
 //   offset  size  field
 //   ------  ----  -----------------------------------------------
 //   0       4     magic "WPCK"
-//   4       4     format version (u32 LE) — currently 1
+//   4       4     format version (u32 LE) — currently 2
 //   8       8     generation (u64 LE, monotonically increasing per run)
 //   16      8     payload length in bytes (u64 LE)
 //   24      4     CRC-32 of the payload (u32 LE, IEEE polynomial)
@@ -90,7 +90,9 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+/// Version 2 appends the factor-cache counters to the engine's run stats; a
+/// version-1 file is rejected rather than misread.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /// Atomically publishes `payload` as generation `generation` of checkpoint
 /// `path_base` (slot `<path_base>.a` or `.b` by generation parity).  Returns

@@ -3,12 +3,19 @@
 #include "util/error.hpp"
 
 namespace wavepipe::util {
+namespace {
+
+thread_local unsigned tl_pool_size = 0;
+
+}  // namespace
+
+unsigned ThreadPool::CurrentPoolSize() { return tl_pool_size; }
 
 ThreadPool::ThreadPool(unsigned num_threads) {
   WP_ASSERT(num_threads >= 1);
   workers_.reserve(num_threads);
   for (unsigned i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this, num_threads] { WorkerLoop(num_threads); });
   }
 }
 
@@ -25,7 +32,8 @@ void ThreadPool::Shutdown() {
   workers_.clear();
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::WorkerLoop(unsigned pool_size) {
+  tl_pool_size = pool_size;
   for (;;) {
     std::function<void()> task;
     {

@@ -73,6 +73,11 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
+  /// Worker count of the pool whose worker thread is calling, or 0 on a
+  /// thread that is no pool's worker.  Lets a task that owns a per-run
+  /// resource budget share it with the tasks running beside it.
+  static unsigned CurrentPoolSize();
+
   /// Liveness heartbeats for the stall watchdog (engine/resilience.hpp):
   /// ticked by workers at task pickup and completion (relaxed).  A pool whose
   /// started beat advances while completed stays put has a hung task; one
@@ -86,7 +91,7 @@ class ThreadPool {
   }
 
  private:
-  void WorkerLoop();
+  void WorkerLoop(unsigned pool_size);
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;

@@ -59,6 +59,9 @@ PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
   contexts_.reserve(static_cast<std::size_t>(slots));
   for (int i = 0; i < slots; ++i) {
     contexts_.push_back(std::make_unique<engine::SolveContext>(circuit, structure));
+    // Every slot may be solving at once, so the slots split one run budget.
+    contexts_.back()->factor_cache.Configure(
+        engine::FactorCache::ShareOfRun(static_cast<std::size_t>(slots)));
   }
   if (options_.threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(static_cast<unsigned>(options_.threads));
@@ -238,6 +241,7 @@ WavePipeResult PipelineDriver::Run() {
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
     const auto& ctx = contexts_[i];
     result_.stats.AbsorbLuStats(ctx->lu.stats());
+    result_.stats.AbsorbFactorCache(ctx->factor_cache);
     if (ctx->bbd.configured()) result_.stats.AbsorbPartitionStats(NetBbdStats(i));
     result_.stats.bypassed_evals += ctx->bypass.bypassed_evals();
     result_.stats.bypass_full_evals += ctx->bypass.full_evals();
@@ -351,11 +355,7 @@ int PipelineDriver::Record(SolveKind kind, const engine::StepSolveResult& solve,
   record.deps = std::move(deps);
   record.useful = useful;
 
-  result_.stats.newton_iterations += static_cast<std::uint64_t>(solve.newton.iterations);
-  result_.stats.lu_full_factors += static_cast<std::uint64_t>(solve.newton.lu_full_factors);
-  result_.stats.lu_refactors += static_cast<std::uint64_t>(solve.newton.lu_refactors);
-  result_.stats.chord_solves += static_cast<std::uint64_t>(solve.newton.chord_solves);
-  result_.stats.forced_refactors += static_cast<std::uint64_t>(solve.newton.forced_refactors);
+  result_.stats.AbsorbNewton(solve.newton);
   process_newton_ += static_cast<std::uint64_t>(solve.newton.iterations);
   return result_.ledger.Add(std::move(record));
 }
@@ -653,6 +653,7 @@ std::vector<std::uint8_t> PipelineDriver::Snapshot() {
   ck.stats = result_.stats;
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
     ck.stats.AbsorbLuStats(contexts_[i]->lu.stats());
+    ck.stats.AbsorbFactorCache(contexts_[i]->factor_cache);
     if (contexts_[i]->bbd.configured()) ck.stats.AbsorbPartitionStats(NetBbdStats(i));
     ck.stats.bypassed_evals += contexts_[i]->bypass.bypassed_evals();
     ck.stats.bypass_full_evals += contexts_[i]->bypass.full_evals();

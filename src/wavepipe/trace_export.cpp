@@ -146,7 +146,8 @@ util::telemetry::CounterRegistry BuildRunCounters(const RunCounterInputs& inputs
   registry.Value("ledger.useful_seconds", ledger ? ledger->UsefulSeconds() : 0.0);
   inputs.resilience.ExportCounters(registry);  // v1.2: appended after ledger.*
   inputs.reduction.ExportCounters(registry);   // v1.3: reduce.* after resilience
-  inputs.batch.ExportCounters(registry);       // v1.4: batch.* appended last
+  inputs.batch.ExportCounters(registry);       // v1.4: batch.* after reduce.*
+  inputs.stats.factor_cache.ExportCounters(registry);  // v1.5: appended last
   return registry;
 }
 

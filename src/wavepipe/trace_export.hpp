@@ -67,7 +67,12 @@ namespace wavepipe::pipeline {
 /// newton_iterations, dc_points, ac_points, wall_seconds) after the
 /// `reduce.*` block.  All zeros outside --sweep runs; additive-only, so
 /// v1.3 consumers parse v1.4 unchanged.
-inline constexpr const char* kRunStatsSchema = "wavepipe.run_stats.v1.4";
+///
+/// v1.5 appends the exact-factor-reuse group `factor_cache.*`
+/// (engine/factor_cache.hpp: hits, misses, evictions, peak_bytes) after the
+/// `batch.*` block.  All zeros on nonlinear circuits, where the cache never
+/// engages; additive-only, so v1.4 consumers parse v1.5 unchanged.
+inline constexpr const char* kRunStatsSchema = "wavepipe.run_stats.v1.5";
 
 /// Identity of one run for the run_stats.json header.  Strings live here;
 /// the counter registry is numeric-only by design.
@@ -88,6 +93,7 @@ struct RunInfo {
 /// (WavePipe) or ledger (fine-grained) exports the group's defaults, which
 /// is what keeps the schema identical across engines.
 struct RunCounterInputs {
+  /// transient.* and lu.*, plus the v1.5 factor_cache.* group it carries.
   engine::TransientStats stats;
   engine::AssemblyStats assembly;
   PipelineSchedStats sched;
@@ -104,8 +110,9 @@ struct RunCounterInputs {
 };
 
 /// Builds the full run_stats counter registry: transient.* + lu.* (engine
-/// core), assembly.*, sched.*, spec.*, phases.*, replay.*, ledger.*.  Group
-/// order and names are the schema; the parity test pins them.
+/// core), assembly.*, sched.*, spec.*, phases.*, replay.*, ledger.*, then the
+/// appended v1.2-v1.5 groups.  Group order and names are the schema; the
+/// parity test pins them.
 util::telemetry::CounterRegistry BuildRunCounters(const RunCounterInputs& inputs);
 
 /// Serializes header + counters to the run_stats.json document (integral

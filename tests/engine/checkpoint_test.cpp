@@ -58,6 +58,25 @@ circuits::GeneratedCircuit ReducedParasiticLadder() {
   return gen;
 }
 
+/// Every monolithic factor demand: computed factorizations plus the demands
+/// the factor cache served.  A resumed process starts with a cold cache and
+/// refactors what the uninterrupted run served from it, so factor totals
+/// compare as demand totals.
+std::uint64_t FactorDemands(const engine::TransientStats& stats) {
+  return stats.lu_full_factors + stats.lu_refactors + stats.factor_cache.hits;
+}
+
+/// A resumed run never hits more than the uninterrupted one, and the
+/// uninterrupted run hits on a linear circuit solved through ctx.lu.
+void ExpectCacheHitsConsistent(const circuits::GeneratedCircuit& gen, bool monolithic,
+                               const engine::TransientStats& reference,
+                               const engine::TransientStats& resumed) {
+  EXPECT_LE(resumed.factor_cache.hits, reference.factor_cache.hits);
+  if (monolithic && !gen.circuit->is_nonlinear()) {
+    EXPECT_GT(reference.factor_cache.hits, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ByteWriter / ByteReader
 // ---------------------------------------------------------------------------
@@ -421,15 +440,16 @@ void ExpectResumeBitIdentical(const circuits::GeneratedCircuit& gen,
     }
   }
 
-  // Deterministic counters.  lu full/refactor split may legitimately differ
-  // (the resumed process's FIRST factorization is a full factor where the
-  // uninterrupted run refactored), so those compare as sums.
+  // Deterministic counters.  lu full/refactor/cache-hit split may
+  // legitimately differ (the resumed process's FIRST factorization is a full
+  // factor where the uninterrupted run refactored, and its cache starts
+  // cold), so those compare as demand totals.
   EXPECT_EQ(resumed.stats.steps_accepted, reference.stats.steps_accepted);
   EXPECT_EQ(resumed.stats.steps_rejected_lte, reference.stats.steps_rejected_lte);
   EXPECT_EQ(resumed.stats.steps_rejected_newton, reference.stats.steps_rejected_newton);
   EXPECT_EQ(resumed.stats.newton_iterations, reference.stats.newton_iterations);
-  EXPECT_EQ(resumed.stats.lu_full_factors + resumed.stats.lu_refactors,
-            reference.stats.lu_full_factors + reference.stats.lu_refactors);
+  EXPECT_EQ(FactorDemands(resumed.stats), FactorDemands(reference.stats));
+  ExpectCacheHitsConsistent(gen, /*monolithic=*/true, reference.stats, resumed.stats);
   EXPECT_EQ(resumed.last_good_time, reference.last_good_time);
 }
 
@@ -593,8 +613,8 @@ void ExpectFineGrainedResumeBitIdentical(const circuits::GeneratedCircuit& gen,
   EXPECT_EQ(resumed.stats.steps_rejected_newton,
             reference.stats.steps_rejected_newton);
   EXPECT_EQ(resumed.stats.newton_iterations, reference.stats.newton_iterations);
-  EXPECT_EQ(resumed.stats.lu_full_factors + resumed.stats.lu_refactors,
-            reference.stats.lu_full_factors + reference.stats.lu_refactors);
+  EXPECT_EQ(FactorDemands(resumed.stats), FactorDemands(reference.stats));
+  ExpectCacheHitsConsistent(gen, partition_pieces == 0, reference.stats, resumed.stats);
   EXPECT_EQ(resumed.last_good_time, reference.last_good_time);
   RemoveSlots(base);
 }
@@ -697,8 +717,8 @@ void ExpectPipelineResumeBitIdentical(const circuits::GeneratedCircuit& gen,
   EXPECT_EQ(resumed.stats.steps_rejected_newton,
             reference.stats.steps_rejected_newton);
   EXPECT_EQ(resumed.stats.newton_iterations, reference.stats.newton_iterations);
-  EXPECT_EQ(resumed.stats.lu_full_factors + resumed.stats.lu_refactors,
-            reference.stats.lu_full_factors + reference.stats.lu_refactors);
+  EXPECT_EQ(FactorDemands(resumed.stats), FactorDemands(reference.stats));
+  ExpectCacheHitsConsistent(gen, partition_pieces == 0, reference.stats, resumed.stats);
   // The scheduler replays the same rounds and ledger after resume.
   EXPECT_EQ(resumed.sched.rounds, reference.sched.rounds);
   EXPECT_EQ(resumed.ledger.size(), reference.ledger.size());

@@ -161,6 +161,71 @@ TEST(SparseLu, CopiedFactorizationRefactorsBitIdentically) {
   EXPECT_LT(SolveResidualInf(a2, x_copy, b), 1e-10);
 }
 
+// Numeric factors saved after one Refactor() and loaded back after others
+// reproduce that Refactor()'s solves bit for bit.
+TEST(SparseLu, SavedNumericFactorsReloadBitIdentically) {
+  util::Rng rng(23);
+  const CscMatrix a = RandomSparse(30, 0.15, rng);
+  SparseLu lu;
+  lu.Factor(a);
+  CscMatrix a1 = a;
+  for (double& v : a1.mutable_values()) v *= rng.Uniform(0.5, 1.5);
+  ASSERT_TRUE(lu.Refactor(a1));
+  EXPECT_EQ(lu.numeric_size(), lu.stats().nnz_l + lu.stats().nnz_u);
+  std::vector<double> saved(lu.numeric_size());
+  lu.SaveNumeric(saved);
+
+  const std::vector<double> b = RandomVector(30, rng);
+  std::vector<double> x_before = b;
+  lu.Solve(x_before);
+
+  const std::uint64_t generation = lu.symbolic_generation();
+  for (int k = 0; k < 3; ++k) {
+    CscMatrix other = a;
+    for (double& v : other.mutable_values()) v *= rng.Uniform(0.5, 1.5);
+    ASSERT_TRUE(lu.Refactor(other));
+  }
+  EXPECT_EQ(lu.symbolic_generation(), generation);
+  std::vector<double> x_other = b;
+  lu.Solve(x_other);
+  ASSERT_NE(x_other, x_before);
+
+  lu.LoadNumeric(saved);
+  std::vector<double> x_after = b;
+  lu.Solve(x_after);
+  EXPECT_EQ(x_after, x_before);
+}
+
+TEST(SparseLu, SymbolicGenerationBumpsOnEverySymbolicChange) {
+  const CscMatrix a = Tridiagonal(6);
+  SparseLu lu;
+  const std::uint64_t g0 = lu.symbolic_generation();
+  lu.Factor(a);
+  const std::uint64_t g1 = lu.symbolic_generation();
+  EXPECT_NE(g1, g0);
+  ASSERT_TRUE(lu.Refactor(a));
+  lu.FactorOrRefactor(a);
+  EXPECT_EQ(lu.symbolic_generation(), g1);
+
+  // A throwing Factor() still starts a new generation.
+  TripletBuilder t(6, 6);
+  for (int i = 0; i < 5; ++i) t.Add(i, i, 1.0);
+  t.Add(5, 0, 1.0);  // column 5 empty: structurally singular
+  EXPECT_THROW(lu.Factor(t.ToCsc()), SingularMatrixError);
+  const std::uint64_t g2 = lu.symbolic_generation();
+  EXPECT_NE(g2, g1);
+
+  SparseLu source;
+  source.Factor(a);
+  lu.CopyFactorization(source);
+  const std::uint64_t g3 = lu.symbolic_generation();
+  EXPECT_NE(g3, g2);
+
+  lu.Reset(SparseLu::Options{});
+  EXPECT_NE(lu.symbolic_generation(), g3);
+  EXPECT_FALSE(lu.factored());
+}
+
 TEST(SparseLu, RefactorDetectsPivotDegradation) {
   // Factor a well-conditioned matrix, then refactor with values that make
   // the reused pivot catastrophically small.

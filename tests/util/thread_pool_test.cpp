@@ -19,6 +19,15 @@ TEST(ThreadPool, RunsAllSubmittedTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
+TEST(ThreadPool, WorkersKnowTheirPoolSize) {
+  EXPECT_EQ(ThreadPool::CurrentPoolSize(), 0u);
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.Submit([] { return ThreadPool::CurrentPoolSize(); }).get(), 3u);
+  ThreadPool single(1);
+  EXPECT_EQ(single.Submit([] { return ThreadPool::CurrentPoolSize(); }).get(), 1u);
+  EXPECT_EQ(ThreadPool::CurrentPoolSize(), 0u);
+}
+
 TEST(ThreadPool, ReturnsValues) {
   ThreadPool pool(2);
   auto f1 = pool.Submit([] { return 21 * 2; });

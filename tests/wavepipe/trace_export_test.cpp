@@ -231,10 +231,10 @@ TEST(RunStatsJsonTest, SpecPolicyGroupExportsOnEveryEngine) {
 }
 
 TEST(RunStatsJsonTest, SchemaTagIsPinned) {
-  // v1.4 = v1.3 plus the appended batch-analysis group (batch.*).  Changing
-  // this string (or the key sets below) is a schema bump: update
+  // v1.5 = v1.4 plus the appended exact-factor-reuse group (factor_cache.*).
+  // Changing this string (or the key sets below) is a schema bump: update
   // check_bench.py and the docs in trace_export.hpp alongside.
-  EXPECT_STREQ(kRunStatsSchema, "wavepipe.run_stats.v1.4");
+  EXPECT_STREQ(kRunStatsSchema, "wavepipe.run_stats.v1.5");
 }
 
 TEST(RunStatsJsonTest, ResilienceGroupExportsOnEveryEngine) {
@@ -279,10 +279,11 @@ TEST(RunStatsJsonTest, OlderConsumersStillParseNewerDocuments) {
   // The schema grows additively: every v1.1 key keeps its name and position,
   // the v1.2 groups (ckpt./watchdog./resilience.) land strictly AFTER the
   // last v1.1 group (ledger.*), the v1.3 group (reduce.*) lands strictly
-  // AFTER the last v1.2 key, and the v1.4 group (batch.*) lands strictly
-  // AFTER the last v1.3 key.  A consumer of any older version that iterates
+  // AFTER the last v1.2 key, the v1.4 group (batch.*) lands strictly AFTER
+  // the last v1.3 key, and the v1.5 group (factor_cache.*) lands strictly
+  // AFTER the last v1.4 key.  A consumer of any older version that iterates
   // its own baseline keys therefore parses a newer document unchanged.  This
-  // pins all three orderings.
+  // pins all four orderings.
   RunCounterInputs inputs;
   const auto names = BuildRunCounters(inputs).Names();
   std::size_t last_v11 = 0;
@@ -291,14 +292,20 @@ TEST(RunStatsJsonTest, OlderConsumersStillParseNewerDocuments) {
   std::size_t first_v13 = names.size();
   std::size_t last_v13 = 0;
   std::size_t first_v14 = names.size();
+  std::size_t last_v14 = 0;
+  std::size_t first_v15 = names.size();
   for (std::size_t i = 0; i < names.size(); ++i) {
     const bool v12 = names[i].rfind("ckpt.", 0) == 0 ||
                      names[i].rfind("watchdog.", 0) == 0 ||
                      names[i].rfind("resilience.", 0) == 0;
     const bool v13 = names[i].rfind("reduce.", 0) == 0;
     const bool v14 = names[i].rfind("batch.", 0) == 0;
-    if (v14) {
+    const bool v15 = names[i].rfind("factor_cache.", 0) == 0;
+    if (v15) {
+      first_v15 = std::min(first_v15, i);
+    } else if (v14) {
       first_v14 = std::min(first_v14, i);
+      last_v14 = std::max(last_v14, i);
     } else if (v13) {
       first_v13 = std::min(first_v13, i);
       last_v13 = std::max(last_v13, i);
@@ -312,19 +319,59 @@ TEST(RunStatsJsonTest, OlderConsumersStillParseNewerDocuments) {
   ASSERT_LT(first_v12, names.size()) << "v1.2 groups missing from the registry";
   ASSERT_LT(first_v13, names.size()) << "v1.3 group missing from the registry";
   ASSERT_LT(first_v14, names.size()) << "v1.4 group missing from the registry";
+  ASSERT_LT(first_v15, names.size()) << "v1.5 group missing from the registry";
   EXPECT_LT(last_v11, first_v12)
       << "v1.2 keys must append after every v1.1 key, not interleave";
   EXPECT_LT(last_v12, first_v13)
       << "v1.3 keys must append after every v1.2 key, not interleave";
   EXPECT_LT(last_v13, first_v14)
       << "v1.4 keys must append after every v1.3 key, not interleave";
+  EXPECT_LT(last_v14, first_v15)
+      << "v1.5 keys must append after every v1.4 key, not interleave";
   // The v1.1 ledger.* tail is still immediately before the v1.2 block, the
-  // v1.3 reduce.* tail keeps its boundary key, and the v1.4 batch.* block is
-  // the document's tail.
+  // v1.3 reduce.* and v1.4 batch.* tails keep their boundary keys, and the
+  // v1.5 factor_cache.* block is the document's tail.
   ASSERT_GT(first_v12, 0u);
   EXPECT_EQ(names[last_v11], "ledger.useful_seconds");
   EXPECT_EQ(names[last_v13], "reduce.interior_expansions");
-  EXPECT_EQ(names.back(), "batch.wall_seconds");
+  EXPECT_EQ(names[last_v14], "batch.wall_seconds");
+  EXPECT_EQ(names.back(), "factor_cache.peak_bytes");
+}
+
+/// run_stats counters of one run of `gen` on each engine configuration.
+std::vector<util::telemetry::CounterRegistry> CountersOnEveryEngine(
+    const circuits::GeneratedCircuit& gen) {
+  const engine::MnaStructure mna(*gen.circuit);
+  std::vector<util::telemetry::CounterRegistry> out;
+  RunCounterInputs inputs;
+  inputs.stats = engine::RunTransientSerial(*gen.circuit, mna, gen.spec, {}).stats;
+  out.push_back(BuildRunCounters(inputs));
+  parallel::FineGrainedOptions fg_options;
+  fg_options.threads = 2;
+  inputs.stats =
+      parallel::RunTransientFineGrained(*gen.circuit, mna, gen.spec, fg_options).stats;
+  out.push_back(BuildRunCounters(inputs));
+  WavePipeOptions wp_options;
+  wp_options.scheme = Scheme::kBackward;
+  wp_options.threads = 2;
+  inputs.stats = RunWavePipe(*gen.circuit, mna, gen.spec, wp_options).stats;
+  out.push_back(BuildRunCounters(inputs));
+  return out;
+}
+
+TEST(RunStatsJsonTest, FactorCacheGroupExportsOnEveryEngine) {
+  constexpr const char* kKeys[] = {"factor_cache.hits", "factor_cache.misses",
+                                   "factor_cache.evictions", "factor_cache.peak_bytes"};
+  // Linear RC mesh: every engine serves repeated Jacobians from its cache.
+  for (const auto& counters : CountersOnEveryEngine(circuits::MakeRcMesh(6, 6))) {
+    EXPECT_GT(CounterValue(counters, "factor_cache.hits"), 0.0);
+    EXPECT_GT(CounterValue(counters, "factor_cache.misses"), 0.0);
+    EXPECT_GT(CounterValue(counters, "factor_cache.peak_bytes"), 0.0);
+  }
+  // Nonlinear inverter chain: the cache never engages, the keys stay.
+  for (const auto& counters : CountersOnEveryEngine(circuits::MakeInverterChain(6))) {
+    for (const char* key : kKeys) EXPECT_EQ(CounterValue(counters, key), 0.0) << key;
+  }
 }
 
 TEST(RunStatsJsonTest, ReduceGroupExportsOnEveryEngine) {
