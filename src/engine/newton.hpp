@@ -315,6 +315,10 @@ class SolveContext {
   /// loop turns them into its PhaseBreakdown.
   double eval_seconds = 0.0;
   double lu_seconds = 0.0;
+  /// Lifetime seconds an attached assembler spent merging (reduction sweep
+  /// or color barriers) on THIS context — part of eval_seconds.  Kept per
+  /// context because pipeline slots share one assembler.
+  double merge_seconds = 0.0;
 
   /// Liveness heartbeat: ticked once per Newton iteration (relaxed; a
   /// one-RMW-per-iteration cost).  The stall watchdog samples it from its

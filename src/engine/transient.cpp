@@ -245,7 +245,7 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
     result.stats.wall_seconds = total_timer.Seconds();
     if (intra.assembler != nullptr) result.assembly = intra.assembler->stats();
     PhaseBreakdown& phases = result.phases;
-    phases.reduction = result.assembly.merge_seconds;
+    phases.reduction = ctx.merge_seconds;
     phases.model_eval = std::max(0.0, ctx.eval_seconds - phases.reduction);
     phases.lu = ctx.lu_seconds;
     phases.control = std::max(

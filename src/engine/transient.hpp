@@ -32,7 +32,10 @@ struct StepSolveResult {
   NewtonStats newton;
   IntegrationPlan plan;
   std::vector<double> predicted;  ///< predictor at t_new (LTE / FWP checks)
-  double solve_seconds = 0.0;     ///< measured wall cost (feeds the ledger)
+  /// Thread-CPU seconds of the solve (feeds the ledger).  Time the solving
+  /// thread spent waiting for a core does not count, so the ledger's replay
+  /// cannot see contention.
+  double solve_seconds = 0.0;
   /// Non-empty when the solve ended in something harder than plain
   /// non-convergence (singular pivot, exception drained from a worker
   /// future).  Carried into abort reasons.

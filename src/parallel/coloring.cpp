@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <future>
 #include <mutex>
 #include <numeric>
 
@@ -19,10 +18,11 @@ namespace {
 constexpr std::size_t kMinDevicesPerChunk = 8;
 
 /// One fork/join barrier expressed in memory-write units for the structure-
-/// only cost model (a submit + future wait is roughly a microsecond; a write
-/// a couple of nanoseconds).  Deliberately pessimistic toward coloring so
-/// the automatic mode only leaves the proven reduction path when the win is
-/// clear.
+/// only cost model.  The figure is low: measured, fine-grained grid_lu spends
+/// 33 ms of merge (barrier) time on 378 passes x 5 colors, about 17 us per
+/// barrier, against a couple of nanoseconds per write.  It is kept because
+/// kAuto's choice between colored and reduction assembly, and so the
+/// fine-grained output bits, follow from it.
 constexpr double kBarrierWriteUnits = 512.0;
 
 devices::EvalContext MakeEval(engine::SolveContext& ctx, const engine::NewtonInputs& inputs,
@@ -219,17 +219,19 @@ namespace {
 /// Shared bookkeeping: thread pool ownership + mutex-guarded stats.  When a
 /// shared (externally owned) pool is supplied, stamping runs on it and no
 /// private pool is created — this is how assembly and level-scheduled LU
-/// refactorization share one set of workers.
+/// refactorization share one set of workers.  `threads_` counts the threads
+/// that stamp: the pool's workers plus the calling thread, which runs one
+/// chunk of every pass itself.
 class AssemblerBase : public engine::DeviceAssembler {
  public:
   AssemblerBase(const engine::Circuit& circuit, const engine::MnaStructure& structure,
                 int threads, util::ThreadPool* shared_pool)
       : circuit_(circuit), structure_(structure), threads_(std::max(1, threads)) {
-    if (shared_pool != nullptr && shared_pool->size() > 1) {
+    if (shared_pool != nullptr) {
       pool_ = shared_pool;
-      threads_ = std::max(threads_, static_cast<int>(shared_pool->size()));
-    } else if (threads_ > 1) {
-      owned_pool_ = std::make_unique<util::ThreadPool>(static_cast<unsigned>(threads_));
+      threads_ = std::max(threads_, static_cast<int>(util::ThreadPool::Participants(pool_)));
+    } else {
+      owned_pool_ = util::ThreadPool::ForThreads(threads_);
       pool_ = owned_pool_.get();
     }
   }
@@ -240,7 +242,10 @@ class AssemblerBase : public engine::DeviceAssembler {
   }
 
  protected:
-  void AddTimings(double zero, double stamp, double merge) {
+  /// Books one pass on `ctx`, which the calling thread owns, and on the
+  /// assembler's totals, which every context sharing it adds to.
+  void AddTimings(engine::SolveContext& ctx, double zero, double stamp, double merge) {
+    ctx.merge_seconds += merge;
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.passes += 1;
     stats_.zero_seconds += zero;
@@ -314,24 +319,13 @@ class ReductionAssembler final : public AssemblerBase {
       return t;
     };
 
+    std::vector<ChunkTimings> timings(chunks_.size());
+    util::ThreadPool::ForkJoin(pool_, chunks_.size(),
+                               [&](std::size_t c) { timings[c] = run_chunk(c); });
     double zero = 0.0, stamp = 0.0;
-    if (pool_ && chunks_.size() > 1) {
-      std::vector<std::future<ChunkTimings>> futures;
-      futures.reserve(chunks_.size());
-      for (std::size_t c = 0; c < chunks_.size(); ++c) {
-        futures.push_back(pool_->Submit([&run_chunk, c] { return run_chunk(c); }));
-      }
-      for (auto& future : futures) {
-        const ChunkTimings t = future.get();
-        zero += t.zero;
-        stamp += t.stamp;
-      }
-    } else {
-      for (std::size_t c = 0; c < chunks_.size(); ++c) {
-        const ChunkTimings t = run_chunk(c);
-        zero += t.zero;
-        stamp += t.stamp;
-      }
+    for (const ChunkTimings& t : timings) {
+      zero += t.zero;
+      stamp += t.stamp;
     }
 
     // The serial merge: the reduction tax this subsystem exists to remove.
@@ -343,7 +337,7 @@ class ReductionAssembler final : public AssemblerBase {
       for (std::size_t k = 0; k < values.size(); ++k) values[k] += buf.jacobian[k];
       for (std::size_t i = 0; i < ctx.rhs.size(); ++i) ctx.rhs[i] += buf.rhs[i];
     }
-    AddTimings(zero, stamp, merge_timer.Seconds());
+    AddTimings(ctx, zero, stamp, merge_timer.Seconds());
   }
 
  private:
@@ -422,7 +416,7 @@ class ColoredAssembler final : public AssemblerBase {
           devices[static_cast<std::size_t>(id)]->Eval(eval);
         }
       }
-      AddTimings(zero, timer.Seconds(), 0.0);
+      AddTimings(ctx, zero, timer.Seconds(), 0.0);
       return;
     }
 
@@ -438,19 +432,19 @@ class ColoredAssembler final : public AssemblerBase {
       // partition is free to be anything; contiguous keeps it cache-friendly.
       util::WallTimer barrier_timer;
       const std::size_t per_chunk = (group.size() + chunk_count - 1) / chunk_count;
-      std::vector<std::future<double>> futures;
-      futures.reserve(chunk_count);
-      for (std::size_t begin = 0; begin < group.size(); begin += per_chunk) {
-        const std::span<const int> part =
-            group.subspan(begin, std::min(per_chunk, group.size() - begin));
-        futures.push_back(pool_->Submit([&stamp_range, part] { return stamp_range(part); }));
-      }
+      const std::size_t parts = (group.size() + per_chunk - 1) / per_chunk;
+      std::vector<double> part_cpu(parts);
+      util::ThreadPool::ForkJoin(pool_, parts, [&](std::size_t part) {
+        const std::size_t begin = part * per_chunk;
+        part_cpu[part] =
+            stamp_range(group.subspan(begin, std::min(per_chunk, group.size() - begin)));
+      });
       double color_cpu = 0.0;
-      for (auto& future : futures) color_cpu += future.get();
+      for (const double cpu : part_cpu) color_cpu += cpu;
       stamp += color_cpu;
       barrier += std::max(0.0, barrier_timer.Seconds() - color_cpu);
     }
-    AddTimings(zero, stamp, barrier);
+    AddTimings(ctx, zero, stamp, barrier);
   }
 
  private:
@@ -473,11 +467,11 @@ std::unique_ptr<engine::DeviceAssembler> MakeAssembler(
   }
   // kAuto.  One thread: the 1-chunk reduction path IS the serial loop (same
   // bits, no barriers), so coloring can only add overhead.
-  if (threads <= 1 && (shared_pool == nullptr || shared_pool->size() <= 1)) {
+  const int effective_threads =
+      std::max(threads, static_cast<int>(util::ThreadPool::Participants(shared_pool)));
+  if (effective_threads <= 1) {
     return std::make_unique<ReductionAssembler>(circuit, structure, threads, nullptr);
   }
-  const int effective_threads =
-      std::max(threads, shared_pool ? static_cast<int>(shared_pool->size()) : 1);
   ColorSchedule schedule = BuildColorSchedule(circuit, structure, options);
   const AssemblyCostEstimate est =
       CompareAssemblyCosts(schedule, structure, effective_threads);

@@ -130,7 +130,9 @@ enum class AssemblyMode {
 /// Creates the assembler for the requested mode.  The returned object stamps
 /// on `shared_pool` when one is given (so assembly and level-scheduled LU
 /// refactorization share a single set of workers), otherwise it owns its own
-/// stamping thread pool (when threads > 1).  It may be attached to any
+/// stamping thread pool of threads - 1 workers (when threads > 1).  Either
+/// way the calling thread stamps one chunk of every pass itself, and the
+/// chunking reads max(threads, workers + 1).  It may be attached to any
 /// number of SolveContexts via SolveContext::assembler.  Colored assemblers
 /// are safe to use from several contexts concurrently; the reduction
 /// assembler owns private accumulation buffers and must only drive one

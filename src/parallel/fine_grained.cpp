@@ -13,10 +13,10 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
                                           const engine::TransientSpec& spec,
                                           const FineGrainedOptions& options) {
   // One pool serves both colored stamping and level-scheduled LU: the two
-  // phases alternate within a Newton iteration, never overlap.
-  const int pool_size = std::max(options.threads, options.factor_threads);
-  std::unique_ptr<util::ThreadPool> pool;
-  if (pool_size > 1) pool = std::make_unique<util::ThreadPool>(static_cast<unsigned>(pool_size));
+  // phases alternate within a Newton iteration, never overlap.  The loop's
+  // own thread runs one share of every fork-join.
+  const std::unique_ptr<util::ThreadPool> pool =
+      util::ThreadPool::ForThreads(std::max(options.threads, options.factor_threads));
   const std::unique_ptr<engine::DeviceAssembler> assembler = MakeAssembler(
       options.assembly, circuit, structure, options.threads, options.coloring, pool.get());
 

@@ -38,7 +38,8 @@ struct FineGrainedOptions {
   /// inside each Newton iteration (see sparse/lu.hpp).  0 = serial LU (the
   /// historical behavior); >= 2 enables the parallel kernels, sharing ONE
   /// worker pool with assembly — assembly and factorization never overlap
-  /// within an iteration, so the pool is sized max(threads, factor_threads).
+  /// within an iteration, so max(threads, factor_threads) threads work: the
+  /// pool's workers plus the loop's own thread.
   int factor_threads = 0;
   /// Assembly strategy; kAuto lets the cost model choose colored vs
   /// reduction from the conflict graph.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <future>
 #include <string>
 
 #include "sparse/triplet.hpp"
@@ -231,26 +230,10 @@ void BbdSolver::FactorOrRefactor(const CscMatrix& matrix, util::ThreadPool* pool
       piece.solve_flops =
           static_cast<double>(s.nnz_l + s.nnz_u) + static_cast<double>(piece.globals.size());
     };
-    if (pool != nullptr && pool->size() > 1 && pieces_.size() > 1) {
-      std::vector<std::future<void>> futures;
-      futures.reserve(pieces_.size());
-      for (Piece& piece : pieces_) {
-        futures.push_back(pool->Submit([&piece, &factor_piece] { factor_piece(piece); }));
-      }
-      // Drain every future before rethrowing so no sibling task dangles;
-      // the first failure (by piece order) wins, matching the serial loop.
-      std::exception_ptr first_error;
-      for (auto& future : futures) {
-        try {
-          future.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
-    } else {
-      for (Piece& piece : pieces_) factor_piece(piece);
-    }
+    // Every piece finishes before the first failure (by piece order) is
+    // rethrown, matching the serial loop.
+    util::ThreadPool::ForkJoin(pool, pieces_.size(),
+                               [&](std::size_t k) { factor_piece(pieces_[k]); });
   }
 
   std::uint64_t full_after = 0, re_after = 0, factor_flops = 0;
@@ -328,23 +311,16 @@ void BbdSolver::AssembleSchur(util::ThreadPool* pool) {
     }
   };
 
-  if (pool != nullptr && pool->size() > 1 && n_if > 1) {
-    const int chunks = std::min<int>(static_cast<int>(pool->size()) * 2, n_if);
+  if (pool != nullptr && n_if > 1) {
+    const int chunks =
+        std::min<int>(static_cast<int>(util::ThreadPool::Participants(pool)) * 2, n_if);
     const int per_chunk = (n_if + chunks - 1) / chunks;
-    std::vector<std::future<void>> futures;
-    for (int begin = 0; begin < n_if; begin += per_chunk) {
-      const int end = std::min(begin + per_chunk, n_if);
-      futures.push_back(pool->Submit([&do_columns, begin, end] { do_columns(begin, end); }));
-    }
-    std::exception_ptr first_error;
-    for (auto& future : futures) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
+    util::ThreadPool::ForkJoin(
+        pool, static_cast<std::size_t>((n_if + per_chunk - 1) / per_chunk),
+        [&](std::size_t chunk) {
+          const int begin = static_cast<int>(chunk) * per_chunk;
+          do_columns(begin, std::min(begin + per_chunk, n_if));
+        });
   } else {
     do_columns(0, n_if);
   }
@@ -370,24 +346,8 @@ void BbdSolver::Solve(std::span<double> b, util::ThreadPool* pool) {
   for (const Piece& piece : pieces_) solve_flops_before += piece.lu.stats().solve_flops;
 
   auto run_pieces = [&](auto&& body) {
-    if (pool != nullptr && pool->size() > 1 && pieces_.size() > 1) {
-      std::vector<std::future<void>> futures;
-      futures.reserve(pieces_.size());
-      for (Piece& piece : pieces_) {
-        futures.push_back(pool->Submit([&piece, &body] { body(piece); }));
-      }
-      std::exception_ptr first_error;
-      for (auto& future : futures) {
-        try {
-          future.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      if (first_error) std::rethrow_exception(first_error);
-    } else {
-      for (Piece& piece : pieces_) body(piece);
-    }
+    util::ThreadPool::ForkJoin(pool, pieces_.size(),
+                               [&](std::size_t k) { body(pieces_[k]); });
   };
 
   // Forward sweep: z_k = A_kk^{-1} b_k, all pieces independent.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <future>
 #include <numeric>
 
 #include "sparse/ordering.hpp"
@@ -528,7 +527,7 @@ bool SparseLu::Refactor(const CscMatrix& matrix) {
 }
 
 bool SparseLu::RefactorParallel(const CscMatrix& matrix, util::ThreadPool* pool) {
-  const int threads = pool ? static_cast<int>(pool->size()) : 1;
+  const int threads = static_cast<int>(util::ThreadPool::Participants(pool));
   if (threads < 2 || !LevelScheduleProfitable(threads)) {
     if (threads >= 2) ++stats_.refactor_fallback_count;
     return Refactor(matrix);
@@ -546,7 +545,7 @@ bool SparseLu::RefactorParallel(const CscMatrix& matrix, util::ThreadPool* pool)
 
   std::atomic<bool> abort{false};
   std::uint64_t flops = 0;
-  std::vector<std::future<std::uint64_t>> futures;
+  std::vector<std::uint64_t> chunk_flops;
 
   for (int l = 0; l < factor_levels_.num_levels() && !abort.load(std::memory_order_relaxed);
        ++l) {
@@ -573,15 +572,14 @@ bool SparseLu::RefactorParallel(const CscMatrix& matrix, util::ThreadPool* pool)
     // independent and write disjoint factor slots, so any partition yields
     // the same bits — contiguity just keeps the index streams cache-friendly.
     const std::size_t per_chunk = (nodes.size() + chunk_count - 1) / chunk_count;
-    futures.clear();
-    std::size_t chunk = 0;
-    for (std::size_t begin = 0; begin < nodes.size(); begin += per_chunk, ++chunk) {
-      const std::span<const int> part =
-          nodes.subspan(begin, std::min(per_chunk, nodes.size() - begin));
-      double* work = parallel_work_[chunk].data();
-      futures.push_back(pool->Submit([&run_chunk, part, work] { return run_chunk(part, work); }));
-    }
-    for (auto& future : futures) flops += future.get();
+    chunk_flops.assign((nodes.size() + per_chunk - 1) / per_chunk, 0);
+    util::ThreadPool::ForkJoin(pool, chunk_flops.size(), [&](std::size_t chunk) {
+      const std::size_t begin = chunk * per_chunk;
+      chunk_flops[chunk] =
+          run_chunk(nodes.subspan(begin, std::min(per_chunk, nodes.size() - begin)),
+                    parallel_work_[chunk].data());
+    });
+    for (const std::uint64_t f : chunk_flops) flops += f;
   }
 
   if (abort.load(std::memory_order_relaxed)) {
@@ -650,7 +648,7 @@ void SparseLu::Solve(std::span<double> b, std::vector<double>& workspace) const 
 
 void SparseLu::SolveParallel(std::span<double> b, std::vector<double>& workspace,
                              util::ThreadPool* pool) const {
-  const int threads = pool ? static_cast<int>(pool->size()) : 1;
+  const int threads = static_cast<int>(util::ThreadPool::Participants(pool));
   bool profitable = false;
   if (threads >= 2) {
     if (options_.force_level_schedule) {
@@ -682,7 +680,6 @@ void SparseLu::SolveParallel(std::span<double> b, std::vector<double>& workspace
   // the exact serial substitution order (L rows ascending, U rows
   // descending), so the bits match Solve().
   auto run_levels = [&](const LevelSchedule& levels, auto&& node_op) {
-    std::vector<std::future<void>> futures;
     for (int l = 0; l < levels.num_levels(); ++l) {
       const std::span<const int> nodes = levels.Level(l);
       const std::size_t chunk_count = std::clamp<std::size_t>(
@@ -692,15 +689,13 @@ void SparseLu::SolveParallel(std::span<double> b, std::vector<double>& workspace
         continue;
       }
       const std::size_t per_chunk = (nodes.size() + chunk_count - 1) / chunk_count;
-      futures.clear();
-      for (std::size_t begin = 0; begin < nodes.size(); begin += per_chunk) {
-        const std::span<const int> part =
-            nodes.subspan(begin, std::min(per_chunk, nodes.size() - begin));
-        futures.push_back(pool->Submit([&node_op, part] {
-          for (int node : part) node_op(node);
-        }));
-      }
-      for (auto& future : futures) future.get();
+      util::ThreadPool::ForkJoin(
+          pool, (nodes.size() + per_chunk - 1) / per_chunk, [&](std::size_t chunk) {
+            const std::size_t begin = chunk * per_chunk;
+            for (int node : nodes.subspan(begin, std::min(per_chunk, nodes.size() - begin))) {
+              node_op(node);
+            }
+          });
     }
   };
 

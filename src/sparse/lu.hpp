@@ -20,8 +20,9 @@
 // left-looking update reads L's column r) and its level sets, plus the
 // analogous DAGs for the forward (L's rows) and backward (U's rows)
 // triangular substitutions.  RefactorParallel()/SolveParallel() execute
-// those level sets with a caller-supplied worker pool, one barrier per
-// level, bit-identical to the serial kernels: every column/row computation
+// those level sets with a caller-supplied worker pool, one fork-join per
+// level whose first chunk runs on the calling thread (ThreadPool::ForkJoin),
+// bit-identical to the serial kernels: every column/row computation
 // is a pure function of already-finalized predecessors, chunk partitions
 // are deterministic, and no accumulation order changes.  A per-level cost
 // model (flops per level vs barrier overhead) falls back to the serial
@@ -70,7 +71,8 @@ class SparseLu {
     Ordering ordering = Ordering::kMinimumDegree;
     /// RefactorParallel()/SolveParallel() run their level schedules only when
     /// the per-level cost model predicts at least this speedup over the
-    /// serial kernel at the pool's thread count; below it they silently run
+    /// serial kernel at the participating thread count (the pool's workers
+    /// plus the caller, ThreadPool::Participants); below it they silently run
     /// serial (correctness never depends on the choice — results are
     /// bit-identical either way).
     double level_min_speedup = 1.15;
@@ -142,7 +144,7 @@ class SparseLu {
   /// Level-scheduled parallel refactorization on `pool`.  Bit-identical to
   /// Refactor(): each column is the same pure function of its (barrier-
   /// separated, already final) dependency columns.  Falls back to the serial
-  /// kernel when `pool` is null/single-threaded or the per-level cost model
+  /// kernel when `pool` is null or the per-level cost model
   /// predicts no win (see Options::level_min_speedup).  A degraded pivot
   /// raises an atomic abort flag: in-flight columns drain, no further level
   /// starts, and false is returned with the factors invalidated.
@@ -168,7 +170,7 @@ class SparseLu {
   /// Level-scheduled parallel triangular solves on `pool`, bit-identical to
   /// Solve(): the row-gather form accumulates each unknown's updates in
   /// exactly the serial substitution order.  Falls back to Solve() when the
-  /// pool is absent/single-threaded or the cost model predicts no win
+  /// pool is absent or the cost model predicts no win
   /// (triangular-solve levels are thin on circuit matrices — the fallback is
   /// the common case; the parallel path exists for wide digital/mesh DAGs).
   void SolveParallel(std::span<double> b, std::vector<double>& workspace,
@@ -249,7 +251,8 @@ class SparseLu {
         static_cast<std::size_t>(up_[j + 1] - up_[j]));
   }
   /// Per-level cost model of a level-scheduled refactorization at `threads`
-  /// workers, in flop units (equals serial_refactor_flops() at 1 thread).
+  /// participating threads, in flop units (equals serial_refactor_flops() at
+  /// 1 thread).
   double ModelRefactorMakespanFlops(int threads) const;
   /// True when the cost model favors the level-scheduled refactorization.
   bool LevelScheduleProfitable(int threads) const;

@@ -1,10 +1,17 @@
-// Fixed-size thread pool with futures.
+// Fixed-size thread pool with futures, and the caller-runs fork-join every
+// parallel loop in the library goes through.
 //
-// WavePipe's pipeline schemes submit one task per in-flight time point; the
-// fine-grained baseline submits one task per device chunk.  The pool is
-// intentionally simple: a mutex-protected deque and condition variable.  At
-// WavePipe's granularity (one task = a full nonlinear solve, milliseconds to
-// seconds) queue contention is irrelevant; clarity and correctness win.
+// Tasks here are short: a pipelined time-point solve takes 30-300 us, and an
+// intra-solve share (a color chunk, a level of LU columns, a BBD piece) a few
+// microseconds.  At that grain a thread that hands its tasks to the pool and
+// then blocks is itself the cost: on a 4-core host a 4 x 80 us fork-join that
+// queues every task runs only three at once and takes ~190 us, against ~100 us
+// when the caller runs one share itself.  So the rule is CALLER RUNS: a
+// fork-join over n shares queues shares 1..n-1 and runs share 0 on the
+// calling thread (ForkJoin), and a pool that serves N busy threads has N - 1
+// workers (ForThreads).  Cost models and chunk counts read Participants()
+// (workers + the caller), never size().  The queue itself stays simple — a
+// mutex-protected deque and a condition variable.
 //
 // Shutdown semantics:
 //  * Shutdown() (also run by the destructor) DRAINS the queue: every task
@@ -17,10 +24,13 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -72,6 +82,58 @@ class ThreadPool {
   void Shutdown();
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
+
+  /// The pool that keeps `threads` threads busy in a fork-join whose caller
+  /// runs one share: threads - 1 workers, or null (everything inline) for
+  /// threads <= 1.  Participants() of the result is max(threads, 1).
+  static std::unique_ptr<ThreadPool> ForThreads(int threads) {
+    if (threads <= 1) return nullptr;
+    return std::make_unique<ThreadPool>(static_cast<unsigned>(threads - 1));
+  }
+
+  /// Threads that work in a fork-join on `pool` whose caller runs one share
+  /// itself: the workers plus the caller, or 1 (the caller alone) for a null
+  /// pool.
+  static unsigned Participants(const ThreadPool* pool) {
+    return pool == nullptr ? 1u : pool->size() + 1u;
+  }
+
+  /// Runs fn(0) .. fn(shares - 1) and returns when all have finished.
+  /// Shares 1..shares-1 are queued on `pool` first, then share 0 runs on the
+  /// calling thread.  A null pool or a single share runs every share inline,
+  /// in order.  Every share finishes before the lowest-index share's
+  /// exception, if any, is rethrown, so no queued share outlives the state it
+  /// captured.  The "pool.task_throw" fault site is evaluated once per share
+  /// when the shares fork, the caller's share included.
+  template <typename Fn>
+  static void ForkJoin(ThreadPool* pool, std::size_t shares, Fn&& fn) {
+    if (pool == nullptr || shares <= 1) {
+      for (std::size_t share = 0; share < shares; ++share) fn(share);
+      return;
+    }
+    std::vector<std::future<void>> queued;
+    queued.reserve(shares - 1);
+    std::exception_ptr first_error;
+    try {
+      for (std::size_t share = 1; share < shares; ++share) {
+        queued.push_back(pool->Submit([&fn, share] { fn(share); }));
+      }
+      if (WP_FAULT_POINT("pool.task_throw")) {
+        throw fault::FaultInjectedError("pool.task_throw");
+      }
+      fn(std::size_t{0});
+    } catch (...) {
+      first_error = std::current_exception();
+    }
+    for (auto& future : queued) {
+      try {
+        future.get();
+      } catch (...) {
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+    if (first_error) std::rethrow_exception(first_error);
+  }
 
   /// Worker count of the pool whose worker thread is calling, or 0 on a
   /// thread that is no pool's worker.  Lets a task that owns a per-run

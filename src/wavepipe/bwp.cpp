@@ -1,6 +1,6 @@
 // Backward pipelining.
 //
-// While the leading thread solves t_new = t_n + h (with h allowed up to the
+// While the driver thread solves t_new = t_n + h (with h allowed up to the
 // RAISED growth cap), helper threads concurrently solve full-accuracy
 // intermediate points inside the trailing interval (t_{n-1}, t_n).  All
 // solves depend only on already-accepted history, so they are independent
@@ -82,13 +82,12 @@ void PipelineDriver::RunRoundBackward() {
   const Clip clip = ClipStep(t_now, h_);
   const double h = clip.t_new - t_now;
 
-  // Launch the leading solve and every backward solve concurrently.
+  // Queue every backward solve, then solve the leading point on this thread
+  // while the workers run them.
   const engine::HistoryWindow lead_window = history_.Window(4);
   std::vector<int> lead_deps = DepsOf(lead_window);
-  auto lead_future = SubmitSolve(0, lead_window, clip.t_new, /*restart=*/false);
   std::vector<HelperTask> backward = LaunchBackwardTasks(nb, /*first_slot=*/1);
-
-  engine::StepSolveResult lead = JoinSolve(lead_future);
+  engine::StepSolveResult lead = SolveNow(0, lead_window, clip.t_new, /*restart=*/false);
 
   // Publish converged backward points before assessing the leading
   // candidate: the dense predictor below must see them.  Joining them even

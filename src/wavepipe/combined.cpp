@@ -45,19 +45,18 @@ void PipelineDriver::RunRoundCombined() {
   const double h = clip.t_new - t_now;
   const double cap = BwpGrowthCap(nb);
 
-  // ---- launch: leading + backward helper + speculative chain ----------------
+  // ---- launch: backward helper + speculative chain, then the lead here ------
   const engine::HistoryWindow lead_window = history_.Window(4);
   std::vector<int> lead_deps = DepsOf(lead_window);
-  auto lead_future = SubmitSolve(0, lead_window, clip.t_new, /*restart=*/false);
   std::vector<HelperTask> backward = LaunchBackwardTasks(nb, /*first_slot=*/1);
   const int depth = policy_.ChooseChainDepth(std::max(0, options_.threads - 1 - nb));
   std::vector<HelperTask> chain = LaunchSpeculativeChain(
       depth, /*first_slot=*/1 + nb, clip.t_new, h, lead_window);
+  engine::StepSolveResult lead = SolveNow(0, lead_window, clip.t_new, /*restart=*/false);
 
   // ---- join -------------------------------------------------------------------
-  // Drain EVERY in-flight future (lead, chain, backward) before acting on
-  // any outcome — see fwp.cpp for the exception-safety rationale.
-  engine::StepSolveResult lead = JoinSolve(lead_future);
+  // Drain EVERY in-flight future (chain, backward) before acting on any
+  // outcome — see fwp.cpp for the exception-safety rationale.
   std::vector<engine::StepSolveResult> spec_results;
   spec_results.reserve(chain.size());
   for (auto& task : chain) spec_results.push_back(JoinSolve(task.future));

@@ -9,6 +9,7 @@
 #include "partition/partitioner.hpp"
 #include "util/checkpoint.hpp"
 #include "util/error.hpp"
+#include "util/fault.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
 #include "util/timer.hpp"
@@ -63,19 +64,18 @@ PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
     contexts_.back()->factor_cache.Configure(
         engine::FactorCache::ShareOfRun(static_cast<std::size_t>(slots)));
   }
-  if (options_.threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(static_cast<unsigned>(options_.threads));
-  }
+  // The driver thread solves every round's leading point; the pool's
+  // workers take the helpers.
+  pool_ = util::ThreadPool::ForThreads(options_.threads);
 
   // Intra-solve parallelism: ONE shared worker pool serves both colored
   // assembly and level-scheduled LU refactorization (they alternate within a
-  // Newton iteration, never overlap).  This pool is distinct from pool_
-  // (whose workers run whole pipelined solves and block on intra-solve
-  // futures — a shared pool there would deadlock).
-  const int intra_threads = std::max(options_.assembly_threads, options_.factor_threads);
-  if (intra_threads > 1) {
-    intra_pool_ = std::make_unique<util::ThreadPool>(static_cast<unsigned>(intra_threads));
-  }
+  // Newton iteration, never overlap); the solving thread runs one share of
+  // each fork-join.  This pool is distinct from pool_ (whose workers run
+  // whole pipelined solves and block on intra-solve futures — a shared pool
+  // there would deadlock).
+  intra_pool_ = util::ThreadPool::ForThreads(
+      std::max(options_.assembly_threads, options_.factor_threads));
 
   // Colored assembly: let the cost model decide, but only attach a COLORED
   // assembler.  The reduction fallback owns private buffers and can't serve
@@ -126,8 +126,8 @@ bool PipelineDriver::Done() const {
 
 WavePipeResult PipelineDriver::Run() {
   // The round loop is telemetry lane 0; each context slot's solves land on
-  // lane slot+1 (see SubmitSolve), which the Chrome exporter renders as one
-  // track per pipeline worker.
+  // lane slot+1 (see SubmitSolve and SolveNow), which the Chrome exporter
+  // renders as one track per slot.
   util::telemetry::ScopedLane lane(0, "driver");
   total_timer_.Reset();
   result_.trace = engine::Trace(spec_.probes.size() > 0
@@ -161,7 +161,7 @@ WavePipeResult PipelineDriver::Run() {
       result_.completed = false;
       result_.abort_reason = error.what();
       result_.last_good_time = spec_.tstart;
-      result_.stats.wall_seconds = total_timer_.Seconds();
+      CloseBooks();
       return std::move(result_);
     }
     result_.stats.dcop_strategy = dcop.strategy;
@@ -236,8 +236,8 @@ WavePipeResult PipelineDriver::Run() {
   // the absorption below: Snapshot() folds context stats into its own copy.
   sink_.WriteFinal([this] { return Snapshot(); });
 
-  result_.stats.wall_seconds = total_timer_.Seconds();
   if (assembler_) result_.assembly = assembler_->stats();
+  CloseBooks();
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
     const auto& ctx = contexts_[i];
     result_.stats.AbsorbLuStats(ctx->lu.stats());
@@ -254,6 +254,14 @@ PipelineDriver::Clip PipelineDriver::ClipStep(double t_from, double h) {
                                     next_breakpoint_, limits_.hmin);
 }
 
+engine::StepSolveResult PipelineDriver::DrainedFailure(std::string failure) {
+  result_.sched.drained_task_errors += 1;
+  engine::StepSolveResult failed;
+  failed.converged = false;
+  failed.failure = std::move(failure);
+  return failed;
+}
+
 engine::StepSolveResult PipelineDriver::JoinSolve(
     std::future<engine::StepSolveResult>& future) {
   try {
@@ -262,39 +270,45 @@ engine::StepSolveResult PipelineDriver::JoinSolve(
     // A worker task threw (injected fault, singular pivot, poisoned model
     // evaluation).  Drain it into a failed solve: the round's normal
     // failure handling owns the policy, and no sibling future is abandoned.
-    result_.sched.drained_task_errors += 1;
-    engine::StepSolveResult failed;
-    failed.converged = false;
-    failed.failure = error.what();
-    return failed;
+    return DrainedFailure(error.what());
   } catch (const std::future_error& error) {
-    result_.sched.drained_task_errors += 1;
-    engine::StepSolveResult failed;
-    failed.converged = false;
-    failed.failure = std::string("future error: ") + error.what();
-    return failed;
+    return DrainedFailure(std::string("future error: ") + error.what());
   }
 }
 
 std::future<engine::StepSolveResult> PipelineDriver::SubmitSolve(
-    int slot, engine::HistoryWindow window, double t_new, bool restart,
-    std::vector<double> seed_x) {
+    int slot, engine::HistoryWindow window, double t_new, bool restart) {
   WP_ASSERT(slot >= 0 && slot < static_cast<int>(contexts_.size()));
   engine::SolveContext* ctx = contexts_[static_cast<std::size_t>(slot)].get();
   const engine::Method method = options_.sim.method;
   const engine::SimOptions sim = options_.sim;
 
-  auto task = [ctx, slot, window = std::move(window), t_new, method, restart, sim,
-               seed = std::move(seed_x)]() {
+  auto task = [ctx, slot, window = std::move(window), t_new, method, restart, sim]() {
     util::telemetry::ScopedLane lane(static_cast<std::uint32_t>(slot) + 1,
                                      "slot-" + std::to_string(slot));
-    return engine::SolveTimePoint(*ctx, window, t_new, method, restart, sim, seed);
+    return engine::SolveTimePoint(*ctx, window, t_new, method, restart, sim);
   };
   if (pool_) return pool_->Submit(std::move(task));
-  // Single-threaded: run inline but keep the future-based interface.
-  std::promise<engine::StepSolveResult> promise;
-  promise.set_value(task());
-  return promise.get_future();
+  // Single-threaded: the driver runs the helper when it joins it, after the
+  // round's leading solve.
+  return std::async(std::launch::deferred, std::move(task));
+}
+
+engine::StepSolveResult PipelineDriver::SolveNow(int slot, const engine::HistoryWindow& window,
+                                                 double t_new, bool restart,
+                                                 std::span<const double> seed_x) {
+  WP_ASSERT(slot >= 0 && slot < static_cast<int>(contexts_.size()));
+  util::telemetry::ScopedLane lane(static_cast<std::uint32_t>(slot) + 1,
+                                   "slot-" + std::to_string(slot));
+  try {
+    if (pool_ && WP_FAULT_POINT("pool.task_throw")) {
+      throw util::fault::FaultInjectedError("pool.task_throw");
+    }
+    return engine::SolveTimePoint(*contexts_[static_cast<std::size_t>(slot)], window, t_new,
+                                  options_.sim.method, restart, options_.sim, seed_x);
+  } catch (const Error& error) {
+    return DrainedFailure(error.what());
+  }
 }
 
 std::vector<int> PipelineDriver::DepsOf(const engine::HistoryWindow& window) const {
@@ -583,6 +597,23 @@ void PipelineDriver::UnpackSched(std::span<const std::uint64_t> u64,
   s.bwp_backward_solves = static_cast<std::size_t>(u64[i++]);
   s.combined_backward_solves = static_cast<std::size_t>(u64[i++]);
   policy_.RestoreState(u64.subspan(kSchedU64Fields), f64);
+}
+
+void PipelineDriver::CloseBooks() {
+  // The serial loop's split (engine/transient.cpp) over context 0, which
+  // only the driver thread solves on: DC point, leading solves, repairs and
+  // rescues.  What the driver spends waiting for helpers and on round
+  // bookkeeping lands in control.  The assembler is shared by every
+  // context, so the merge time is context 0's own, not the assembler's
+  // total.
+  result_.stats.wall_seconds = total_timer_.Seconds();
+  const engine::SolveContext& lead = *contexts_[0];
+  engine::PhaseBreakdown& phases = result_.phases;
+  phases.reduction = lead.merge_seconds;
+  phases.model_eval = std::max(0.0, lead.eval_seconds - phases.reduction);
+  phases.lu = lead.lu_seconds;
+  phases.control = std::max(0.0, result_.stats.wall_seconds - phases.model_eval -
+                                     phases.reduction - phases.lu);
 }
 
 sparse::BbdStats PipelineDriver::NetBbdStats(std::size_t i) const {

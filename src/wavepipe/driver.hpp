@@ -3,16 +3,20 @@
 // management, ledger bookkeeping.
 //
 // Each scheme contributes one RunRound*() method (bwp.cpp, fwp.cpp,
-// combined.cpp); a round inspects the shared history, launches concurrent
-// SolveTimePoint tasks on per-slot SolveContexts, joins them, and decides
-// what to accept.  Rounds are the synchronization unit: between rounds only
-// the driver thread touches shared state, which keeps the scheduler
-// deterministic (a requirement the tests rely on).
+// combined.cpp); a round inspects the shared history, queues its helper
+// SolveTimePoint tasks on per-slot SolveContexts, solves the leading point
+// itself on the driver thread (slot 0), joins the helpers, and decides what
+// to accept.  The driver thread is one of the `threads` that solve, so the
+// pool holds threads - 1 workers.  Rounds are the synchronization unit:
+// between rounds only the driver thread touches shared state, which keeps
+// the scheduler deterministic (a requirement the tests rely on).
 #pragma once
 
 #include <future>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "engine/dcop.hpp"
@@ -47,10 +51,20 @@ class PipelineDriver {
   /// two drivers' step sequences are identical by construction.
   Clip ClipStep(double t_from, double h);
 
-  /// Launches SolveTimePoint asynchronously on context slot `slot`.
+  /// Queues SolveTimePoint on context slot `slot` for a pool worker (a
+  /// helper solve).  With no pool (one thread) the solve is deferred and runs
+  /// on the driver thread when its future is joined.
   std::future<engine::StepSolveResult> SubmitSolve(int slot, engine::HistoryWindow window,
-                                                   double t_new, bool restart,
-                                                   std::vector<double> seed_x = {});
+                                                   double t_new, bool restart);
+
+  /// Runs SolveTimePoint on context slot `slot` on the driver thread (the
+  /// leading solve, the serial scheme's solve, fwp's repair), in the slot's
+  /// telemetry lane.  Like a pool task it evaluates "pool.task_throw" once
+  /// when the run has a pool, and like JoinSolve it folds a thrown Error into
+  /// a failed solve counted in sched.drained_task_errors.
+  engine::StepSolveResult SolveNow(int slot, const engine::HistoryWindow& window,
+                                   double t_new, bool restart,
+                                   std::span<const double> seed_x = {});
 
   /// Ledger ids of the records that produced the window's points (task deps).
   std::vector<int> DepsOf(const engine::HistoryWindow& window) const;
@@ -76,6 +90,8 @@ class PipelineDriver {
   /// abandoned mid-flight, so no worker outcome can be lost or deadlock a
   /// later round.
   engine::StepSolveResult JoinSolve(std::future<engine::StepSolveResult>& future);
+  /// The failed solve a drained task error turns into (counted).
+  engine::StepSolveResult DrainedFailure(std::string failure);
 
   /// Handles a failed leading solve (Newton divergence): shrink h, count it
   /// toward quarantine, and — once the step has shrunk to hmin — climb the
@@ -164,6 +180,8 @@ class PipelineDriver {
   /// Context i's BBD counters net of the factor work spent PRIMING it at
   /// resume (bookkeeping, not simulation work).
   sparse::BbdStats NetBbdStats(std::size_t i) const;
+  /// Sets result_'s wall clock and its layer split (result_.phases).
+  void CloseBooks();
 
   // ---- immutable configuration ---------------------------------------------
   const engine::Circuit& circuit_;
@@ -180,10 +198,14 @@ class PipelineDriver {
   /// assemblers are stateless per call, so concurrent pipelined solves on
   /// different contexts can share this one instance.
   std::unique_ptr<engine::DeviceAssembler> assembler_;
+  /// Helper-solve workers: threads - 1 of them (the driver thread solves the
+  /// lead), none at one thread.
   std::unique_ptr<util::ThreadPool> pool_;
   /// Intra-solve pool shared by colored assembly and level-scheduled LU
-  /// factorization.  Deliberately separate from pool_: pipeline workers
-  /// block on intra-solve futures, so the two pools must not share threads.
+  /// factorization, with one worker fewer than the threads that work on a
+  /// solve (the solving thread runs one share of every fork-join).
+  /// Deliberately separate from pool_: pipeline workers block on
+  /// intra-solve futures, so the two pools must not share threads.
   std::unique_ptr<util::ThreadPool> intra_pool_;
   engine::History history_;
   std::map<const engine::SolutionPoint*, int> ledger_id_of_point_;

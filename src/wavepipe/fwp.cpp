@@ -1,6 +1,6 @@
 // Forward pipelining.
 //
-// While the leading thread solves t1, helper threads already solve t2, t3,
+// While the driver thread solves t1, helper threads already solve t2, t3,
 // ... seeded with PREDICTED history (polynomial extrapolation of x, q, qdot).
 // When t1 converges, each prediction is validated against the truth in
 // chain order:
@@ -224,9 +224,8 @@ void PipelineDriver::ValidateSpeculativeChain(
       const engine::HistoryWindow true_window = history_.Window(4);
       std::vector<int> repair_deps = DepsOf(true_window);
       repair_deps.push_back(spec_id);
-      auto repair_future =
-          SubmitSolve(0, true_window, task.time, /*restart=*/false, spec.point->x);
-      engine::StepSolveResult repair = JoinSolve(repair_future);
+      engine::StepSolveResult repair =
+          SolveNow(0, true_window, task.time, /*restart=*/false, spec.point->x);
       result_.sched.repair_solves += 1;
       result_.sched.repair_newton_iterations +=
           static_cast<std::uint64_t>(repair.newton.iterations);
@@ -294,19 +293,18 @@ void PipelineDriver::RunRoundForward() {
   }
   const double h1 = clip1.t_new - t_now;
 
-  // ---- launch: leading + speculative chain ---------------------------------
+  // ---- launch: speculative chain, then the lead on this thread -------------
   const engine::HistoryWindow base_window = history_.Window(4);
   std::vector<int> lead_deps = DepsOf(base_window);
-  auto lead_future = SubmitSolve(0, base_window, clip1.t_new, /*restart=*/false);
   const int depth = policy_.ChooseChainDepth(std::min(options_.threads - 1, 3));
   std::vector<HelperTask> chain =
       LaunchSpeculativeChain(depth, /*first_slot=*/1, clip1.t_new, h1, base_window);
+  engine::StepSolveResult lead = SolveNow(0, base_window, clip1.t_new, /*restart=*/false);
 
   // ---- join -------------------------------------------------------------------
   // Drain EVERY in-flight future before acting on any outcome: a worker
   // exception folds into a failed solve (JoinSolve) instead of abandoning
   // the rest of the chain mid-flight.
-  engine::StepSolveResult lead = JoinSolve(lead_future);
   std::vector<engine::StepSolveResult> spec_results;
   spec_results.reserve(chain.size());
   for (auto& task : chain) spec_results.push_back(JoinSolve(task.future));

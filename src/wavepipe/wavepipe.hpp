@@ -44,7 +44,9 @@ const char* SchemeName(Scheme scheme);
 
 struct WavePipeOptions {
   Scheme scheme = Scheme::kCombined;
-  /// Worker threads (including the leading solve).  Serial ignores it.
+  /// Threads that solve, the driver thread included: it solves the leading
+  /// point of every round itself while threads - 1 pool workers solve the
+  /// helpers.  Serial ignores it.
   int threads = 2;
 
   /// Raised leading-edge growth caps, indexed by (number of backward helper
@@ -84,8 +86,9 @@ struct WavePipeOptions {
   /// Workers for level-scheduled parallel LU refactorization / triangular
   /// solves INSIDE each pipelined solve (sparse/lu.hpp).  Shares one worker
   /// pool with assembly_threads — assembly and factorization alternate
-  /// within a Newton iteration, so the intra-solve pool is sized
-  /// max(assembly_threads, factor_threads).  0/1 keeps the serial LU
+  /// within a Newton iteration, so max(assembly_threads, factor_threads)
+  /// threads work on each solve: the intra-solve pool's workers plus the
+  /// thread running the solve.  0/1 keeps the serial LU
   /// kernels; on circuits whose elimination DAG is too deep the per-level
   /// cost model falls back to serial automatically.
   int factor_threads = 0;
@@ -169,6 +172,12 @@ struct WavePipeResult {
   /// Colored-assembly accounting when assembly_threads engaged a colored
   /// assembler; strategy stays "serial" otherwise.
   engine::AssemblyStats assembly;
+  /// Wall-clock layer split of the driver thread, by the serial loop's
+  /// formula over context 0 (which only the driver thread solves on): device
+  /// eval and factor/solve laps, the merge time the shared assembler spent
+  /// on context 0, and control — the rest of the run, helper waits and round
+  /// bookkeeping included.
+  engine::PhaseBreakdown phases;
   engine::SolutionPointPtr final_point;
   /// False when the run aborted before tstop.  Everything computed up to
   /// last_good_time — trace, ledger, stats, final_point — is still here; an
@@ -182,8 +191,9 @@ struct WavePipeResult {
 };
 
 /// Runs a transient analysis under the selected scheme.  Thread-safe with
-/// respect to the circuit/structure (read-only); the run itself spawns
-/// options.threads workers.
+/// respect to the circuit/structure (read-only); the calling thread drives
+/// the rounds and solves each round's leading point, beside
+/// options.threads - 1 pool workers.
 WavePipeResult RunWavePipe(const engine::Circuit& circuit,
                            const engine::MnaStructure& structure,
                            const engine::TransientSpec& spec,

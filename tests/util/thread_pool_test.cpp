@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 namespace wavepipe::util {
 namespace {
@@ -108,6 +111,115 @@ TEST(ThreadPool, InjectedTaskThrowSurfacesThroughFuture) {
   // Disarmed again: the pool is healthy and reusable.
   auto ok = pool.Submit([] { return 4; });
   EXPECT_EQ(ok.get(), 4);
+}
+
+TEST(ThreadPool, ParticipantsCountsTheCaller) {
+  EXPECT_EQ(ThreadPool::Participants(nullptr), 1u);
+  ThreadPool pool(3);
+  EXPECT_EQ(ThreadPool::Participants(&pool), 4u);
+  // ForThreads(N) keeps N threads busy: N - 1 workers, no pool at N <= 1.
+  EXPECT_EQ(ThreadPool::ForThreads(0), nullptr);
+  EXPECT_EQ(ThreadPool::ForThreads(1), nullptr);
+  EXPECT_EQ(ThreadPool::Participants(ThreadPool::ForThreads(4).get()), 4u);
+}
+
+TEST(ThreadPool, ForkJoinRunsShareZeroOnTheCaller) {
+  ThreadPool pool(3);
+  std::vector<std::thread::id> ran_on(8);
+  ThreadPool::ForkJoin(&pool, ran_on.size(),
+                       [&](std::size_t share) { ran_on[share] = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  for (std::size_t share = 1; share < ran_on.size(); ++share) {
+    EXPECT_NE(ran_on[share], std::this_thread::get_id()) << share;
+  }
+}
+
+TEST(ThreadPool, ForkJoinRunsEachShareExactlyOnce) {
+  ThreadPool pool(2);
+  for (std::size_t shares : {0u, 1u, 2u, 3u, 17u}) {
+    std::vector<std::atomic<int>> runs(shares);
+    ThreadPool::ForkJoin(&pool, shares, [&](std::size_t share) { runs[share].fetch_add(1); });
+    for (std::size_t share = 0; share < shares; ++share) {
+      EXPECT_EQ(runs[share].load(), 1) << shares << " shares, share " << share;
+    }
+  }
+}
+
+TEST(ThreadPool, ForkJoinWithoutAPoolRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  ThreadPool::ForkJoin(nullptr, 5, [&](std::size_t share) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(share);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+  // A single share on a real pool runs inline too.
+  ThreadPool pool(2);
+  std::thread::id ran_on;
+  ThreadPool::ForkJoin(&pool, 1, [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, ForkJoinFinishesEveryShareBeforeRethrowingTheLowestFailure) {
+  ThreadPool pool(3);
+  std::atomic<int> finished{0};
+  try {
+    ThreadPool::ForkJoin(&pool, 6, [&](std::size_t share) {
+      if (share == 4) throw std::runtime_error("share 4");
+      if (share == 2) {
+        // The slower failure has the lower index: it must still win.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::runtime_error("share 2");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    });
+    FAIL() << "ForkJoin swallowed the shares' exceptions";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "share 2");
+  }
+  EXPECT_EQ(finished.load(), 4);
+
+  // The caller's own share failing is the lowest index of all.
+  finished = 0;
+  EXPECT_THROW(ThreadPool::ForkJoin(&pool, 4,
+                                    [&](std::size_t share) {
+                                      if (share == 0) throw std::runtime_error("caller");
+                                      std::this_thread::sleep_for(
+                                          std::chrono::milliseconds(20));
+                                      finished.fetch_add(1);
+                                    }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);
+}
+
+TEST(ThreadPool, ForkJoinEvaluatesTheTaskFaultOncePerShare) {
+  ThreadPool pool(2);
+  {
+    fault::Schedule never;
+    never.skip = fault::Schedule::kUnlimited;
+    fault::ScopedFault site("pool.task_throw", never);
+    ThreadPool::ForkJoin(&pool, 5, [](std::size_t) {});
+    EXPECT_EQ(site.hits(), 5u);
+    // Inline runs fork nothing and evaluate nothing.
+    ThreadPool::ForkJoin(nullptr, 5, [](std::size_t) {});
+    ThreadPool::ForkJoin(&pool, 1, [](std::size_t) {});
+    EXPECT_EQ(site.hits(), 5u);
+  }
+  {
+    // Fired on the caller's share, the fault surfaces after the queued
+    // shares have run.
+    fault::Schedule first;
+    first.skip = 0;
+    first.fire = 5;
+    fault::ScopedFault site("pool.task_throw", first);
+    std::atomic<int> ran{0};
+    EXPECT_THROW(ThreadPool::ForkJoin(&pool, 3, [&](std::size_t) { ran.fetch_add(1); }),
+                 fault::FaultInjectedError);
+    EXPECT_EQ(site.fired(), 3u);
+    EXPECT_EQ(ran.load(), 0);
+  }
 }
 
 }  // namespace

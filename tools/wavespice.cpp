@@ -699,6 +699,7 @@ int main(int argc, char** argv) {
       run.counters.assembly = result.assembly;
       run.counters.sched = result.sched;
       run.counters.spec = result.spec;
+      run.counters.phases = result.phases;
       run.counters.resilience = result.resilience;
       run.ledger = result.ledger;
       run.has_ledger = true;
