@@ -486,6 +486,7 @@ void StallWatchdog::Loop() {
       no_progress = 0;
     }
     last_sum = sum;
+    samples_.fetch_add(1, std::memory_order_release);
     lock.lock();
   }
 }

@@ -245,6 +245,9 @@ class StallWatchdog {
   /// The structured abort reason for an escalated stall.
   std::string AbortReason() const;
 
+  /// Heartbeat samples taken so far (one per interval while running).
+  std::uint64_t samples() const { return samples_.load(std::memory_order_acquire); }
+
  private:
   void Loop();
   std::uint64_t SampleSum() const;
@@ -258,6 +261,7 @@ class StallWatchdog {
   std::condition_variable cv_;
   bool stopping_ = false;
   std::atomic<std::uint64_t> stalls_{0};
+  std::atomic<std::uint64_t> samples_{0};
   std::atomic<bool> escalate_{false};
   ResilienceStats& stats_;
 };

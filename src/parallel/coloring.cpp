@@ -18,12 +18,30 @@ namespace {
 constexpr std::size_t kMinDevicesPerChunk = 8;
 
 /// One fork/join barrier expressed in memory-write units for the structure-
-/// only cost model.  The figure is low: measured, fine-grained grid_lu spends
-/// 33 ms of merge (barrier) time on 378 passes x 5 colors, about 17 us per
-/// barrier, against a couple of nanoseconds per write.  It is kept because
-/// kAuto's choice between colored and reduction assembly, and so the
-/// fine-grained output bits, follow from it.
+/// only cost model.  The figure was low for the futures-based barrier:
+/// fine-grained grid_lu spent 33 ms of merge (barrier) time on 378 passes x
+/// 5 colors, about 17 us per barrier, against a couple of nanoseconds per
+/// write; the gang barrier costs ~1.5 us.  It is kept because kAuto's choice
+/// between colored and reduction assembly, and so the fine-grained output
+/// bits, follow from it.
 constexpr double kBarrierWriteUnits = 512.0;
+
+/// Seconds `body` takes on the clock its path can afford.  Without a pool
+/// assembly reads thread-CPU time, which is what bench_assembly measures at
+/// one thread and projects from.  Pooled shares read the monotonic clock: a
+/// thread-CPU read is a syscall (390-430 ns against 44-47 ns on the 4-vCPU
+/// host), and two per share cost about half of a ~1.5 us fork-join.
+template <typename Body>
+double Timed(bool pooled, Body&& body) {
+  if (pooled) {
+    const util::WallTimer timer;
+    body();
+    return timer.Seconds();
+  }
+  const util::ThreadCpuTimer timer;
+  body();
+  return timer.Seconds();
+}
 
 devices::EvalContext MakeEval(engine::SolveContext& ctx, const engine::NewtonInputs& inputs,
                               bool limit_valid, bool first_iteration,
@@ -288,62 +306,58 @@ class ReductionAssembler final : public AssemblerBase {
 
   void Assemble(engine::SolveContext& ctx, const engine::NewtonInputs& inputs,
                 bool limit_valid, bool first_iteration) override {
-    struct ChunkTimings {
-      double zero = 0.0, stamp = 0.0;
-    };
-    auto run_chunk = [&](std::size_t c) -> ChunkTimings {
-      ChunkTimings t;
-      util::ThreadCpuTimer timer;
-      auto& buf = buffers_[c];
-      std::fill(buf.jacobian.begin(), buf.jacobian.end(), 0.0);
-      std::fill(buf.rhs.begin(), buf.rhs.end(), 0.0);
-      t.zero = timer.Seconds();
-
-      timer.Reset();
-      devices::EvalContext eval =
-          MakeEval(ctx, inputs, limit_valid, first_iteration, buf.jacobian, buf.rhs);
-      const auto& devices = circuit_.devices();
-      if (ctx.bypass.active()) {
-        // Replay works against private buffers too: a device lives in one
-        // chunk, its chunk buffer is zeroed every pass, so the captured
-        // deltas are exactly what the merge sweep would have summed.
-        for (std::size_t i = chunks_[c].first; i < chunks_[c].second; ++i) {
-          ctx.bypass.Process(i, *devices[i], eval);
+    const bool pooled = pool_ != nullptr;
+    auto run_chunk = [&](std::size_t c) {
+      Buffers& buf = buffers_[c];
+      buf.zero_seconds = Timed(pooled, [&] {
+        std::fill(buf.jacobian.begin(), buf.jacobian.end(), 0.0);
+        std::fill(buf.rhs.begin(), buf.rhs.end(), 0.0);
+      });
+      buf.stamp_seconds = Timed(pooled, [&] {
+        devices::EvalContext eval =
+            MakeEval(ctx, inputs, limit_valid, first_iteration, buf.jacobian, buf.rhs);
+        const auto& devices = circuit_.devices();
+        if (ctx.bypass.active()) {
+          // Replay works against private buffers too: a device lives in one
+          // chunk, its chunk buffer is zeroed every pass, so the captured
+          // deltas are exactly what the merge sweep would have summed.
+          for (std::size_t i = chunks_[c].first; i < chunks_[c].second; ++i) {
+            ctx.bypass.Process(i, *devices[i], eval);
+          }
+        } else {
+          for (std::size_t i = chunks_[c].first; i < chunks_[c].second; ++i) {
+            devices[i]->Eval(eval);
+          }
         }
-      } else {
-        for (std::size_t i = chunks_[c].first; i < chunks_[c].second; ++i) {
-          devices[i]->Eval(eval);
-        }
-      }
-      t.stamp = timer.Seconds();
-      return t;
+      });
     };
-
-    std::vector<ChunkTimings> timings(chunks_.size());
-    util::ThreadPool::ForkJoin(pool_, chunks_.size(),
-                               [&](std::size_t c) { timings[c] = run_chunk(c); });
+    util::ThreadPool::ForkJoin(pool_, chunks_.size(), run_chunk);
     double zero = 0.0, stamp = 0.0;
-    for (const ChunkTimings& t : timings) {
-      zero += t.zero;
-      stamp += t.stamp;
+    for (const Buffers& buf : buffers_) {
+      zero += buf.zero_seconds;
+      stamp += buf.stamp_seconds;
     }
 
     // The serial merge: the reduction tax this subsystem exists to remove.
-    util::ThreadCpuTimer merge_timer;
-    auto values = ctx.matrix.mutable_values();
-    std::fill(values.begin(), values.end(), 0.0);
-    std::fill(ctx.rhs.begin(), ctx.rhs.end(), 0.0);
-    for (const auto& buf : buffers_) {
-      for (std::size_t k = 0; k < values.size(); ++k) values[k] += buf.jacobian[k];
-      for (std::size_t i = 0; i < ctx.rhs.size(); ++i) ctx.rhs[i] += buf.rhs[i];
-    }
-    AddTimings(ctx, zero, stamp, merge_timer.Seconds());
+    const double merge = Timed(pooled, [&] {
+      auto values = ctx.matrix.mutable_values();
+      std::fill(values.begin(), values.end(), 0.0);
+      std::fill(ctx.rhs.begin(), ctx.rhs.end(), 0.0);
+      for (const auto& buf : buffers_) {
+        for (std::size_t k = 0; k < values.size(); ++k) values[k] += buf.jacobian[k];
+        for (std::size_t i = 0; i < ctx.rhs.size(); ++i) ctx.rhs[i] += buf.rhs[i];
+      }
+    });
+    AddTimings(ctx, zero, stamp, merge);
   }
 
  private:
+  /// One chunk's private copy, and its share of the pass's timings.
   struct Buffers {
     std::vector<double> jacobian;
     std::vector<double> rhs;
+    double zero_seconds = 0.0;
+    double stamp_seconds = 0.0;
   };
   std::vector<std::pair<std::size_t, std::size_t>> chunks_;
   std::vector<Buffers> buffers_;
@@ -369,13 +383,13 @@ class ColoredAssembler final : public AssemblerBase {
 
   void Assemble(engine::SolveContext& ctx, const engine::NewtonInputs& inputs,
                 bool limit_valid, bool first_iteration) override {
-    util::ThreadCpuTimer zero_timer;
+    const bool pooled = pool_ != nullptr;
     auto values = ctx.matrix.mutable_values();
-    std::fill(values.begin(), values.end(), 0.0);
-    std::fill(ctx.rhs.begin(), ctx.rhs.end(), 0.0);
-    const double zero = zero_timer.Seconds();
+    const double zero = Timed(pooled, [&] {
+      std::fill(values.begin(), values.end(), 0.0);
+      std::fill(ctx.rhs.begin(), ctx.rhs.end(), 0.0);
+    });
 
-    double stamp = 0.0, barrier = 0.0;
     const auto& devices = circuit_.devices();
     // Latency bypass: replay cached stamps for quiescent devices.  Safe under
     // the color partition — a replay writes exactly the device's footprint
@@ -383,8 +397,7 @@ class ColoredAssembler final : public AssemblerBase {
     // keeps per-device scratch, so concurrent same-color chunks never share
     // mutable bypass state either.
     const bool bypassing = ctx.bypass.active();
-    auto stamp_range = [&](std::span<const int> ids) -> double {
-      util::ThreadCpuTimer timer;
+    auto stamp = [&](std::span<const int> ids) {
       devices::EvalContext eval =
           MakeEval(ctx, inputs, limit_valid, first_iteration, values, ctx.rhs);
       if (bypassing) {
@@ -395,56 +408,52 @@ class ColoredAssembler final : public AssemblerBase {
       } else {
         for (int id : ids) devices[static_cast<std::size_t>(id)]->Eval(eval);
       }
-      return timer.Seconds();
     };
 
-    if (!pool_) {
+    if (!pooled) {
       // Single-threaded: colors in order on the calling thread, one timer
       // over the whole loop (a per-color thread-CPU read is a syscall and
       // would dominate small color groups — and distort the 1-thread
       // measurement the virtual-time bench projects from).
-      util::ThreadCpuTimer timer;
-      devices::EvalContext eval =
-          MakeEval(ctx, inputs, limit_valid, first_iteration, values, ctx.rhs);
-      if (bypassing) {
-        for (int id : schedule_.device_order()) {
-          const auto d = static_cast<std::size_t>(id);
-          ctx.bypass.Process(d, *devices[d], eval);
-        }
-      } else {
-        for (int id : schedule_.device_order()) {
-          devices[static_cast<std::size_t>(id)]->Eval(eval);
-        }
-      }
-      AddTimings(ctx, zero, timer.Seconds(), 0.0);
+      const double seconds = Timed(pooled, [&] { stamp(schedule_.device_order()); });
+      AddTimings(ctx, zero, seconds, 0.0);
       return;
     }
 
+    // Each part's seconds of the color in flight.  The calling thread owns
+    // the storage (contexts share this assembler concurrently), and it grows
+    // once, so a pass allocates nothing.
+    thread_local std::vector<double> part_seconds;
+    if (part_seconds.size() < static_cast<std::size_t>(threads_)) {
+      part_seconds.resize(static_cast<std::size_t>(threads_));
+    }
+    double stamp_seconds = 0.0, barrier = 0.0;
     for (int color = 0; color < schedule_.num_colors(); ++color) {
       const std::span<const int> group = schedule_.ColorDevices(color);
       const std::size_t chunk_count = std::clamp<std::size_t>(
           group.size() / kMinDevicesPerChunk, 1, static_cast<std::size_t>(threads_));
       if (chunk_count <= 1) {
-        stamp += stamp_range(group);
+        stamp_seconds += Timed(pooled, [&] { stamp(group); });
         continue;
       }
       // Fork/join barrier: same-color devices write disjoint slots, so the
       // partition is free to be anything; contiguous keeps it cache-friendly.
-      util::WallTimer barrier_timer;
+      const util::WallTimer barrier_timer;
       const std::size_t per_chunk = (group.size() + chunk_count - 1) / chunk_count;
       const std::size_t parts = (group.size() + per_chunk - 1) / per_chunk;
-      std::vector<double> part_cpu(parts);
+      std::span<double> seconds(part_seconds.data(), parts);
       util::ThreadPool::ForkJoin(pool_, parts, [&](std::size_t part) {
         const std::size_t begin = part * per_chunk;
-        part_cpu[part] =
-            stamp_range(group.subspan(begin, std::min(per_chunk, group.size() - begin)));
+        seconds[part] = Timed(pooled, [&] {
+          stamp(group.subspan(begin, std::min(per_chunk, group.size() - begin)));
+        });
       });
-      double color_cpu = 0.0;
-      for (const double cpu : part_cpu) color_cpu += cpu;
-      stamp += color_cpu;
-      barrier += std::max(0.0, barrier_timer.Seconds() - color_cpu);
+      double color_seconds = 0.0;
+      for (const double part : seconds) color_seconds += part;
+      stamp_seconds += color_seconds;
+      barrier += std::max(0.0, barrier_timer.Seconds() - color_seconds);
     }
-    AddTimings(ctx, zero, stamp, barrier);
+    AddTimings(ctx, zero, stamp_seconds, barrier);
   }
 
  private:

@@ -18,7 +18,7 @@
 
 namespace wavepipe::pipeline {
 
-std::vector<PipelineDriver::HelperTask> PipelineDriver::LaunchBackwardTasks(
+std::vector<PipelineDriver::HelperTask> PipelineDriver::PlanBackwardTasks(
     int count, int first_slot) {
   std::vector<HelperTask> tasks;
   if (count <= 0) return tasks;
@@ -44,17 +44,18 @@ std::vector<PipelineDriver::HelperTask> PipelineDriver::LaunchBackwardTasks(
     if (window.empty()) continue;
 
     HelperTask task;
+    task.slot = slot++;
     task.time = t_b;
     task.deps = DepsOf(window);
-    task.future = SubmitSolve(slot++, std::move(window), t_b, /*restart=*/false);
+    task.window = std::move(window);
     tasks.push_back(std::move(task));
   }
   return tasks;
 }
 
-void PipelineDriver::JoinAndPublishBackward(std::vector<HelperTask>& tasks) {
+void PipelineDriver::PublishBackward(std::span<HelperTask> tasks) {
   for (auto& task : tasks) {
-    engine::StepSolveResult back = JoinSolve(task.future);
+    engine::StepSolveResult& back = task.result;
     result_.sched.backward_solves += 1;
     CountSchemeBackward();
     if (!back.converged) {
@@ -82,18 +83,18 @@ void PipelineDriver::RunRoundBackward() {
   const Clip clip = ClipStep(t_now, h_);
   const double h = clip.t_new - t_now;
 
-  // Queue every backward solve, then solve the leading point on this thread
-  // while the workers run them.
+  // One fork-join: the leading point on this thread, the backward points on
+  // the workers.
   const engine::HistoryWindow lead_window = history_.Window(4);
   std::vector<int> lead_deps = DepsOf(lead_window);
-  std::vector<HelperTask> backward = LaunchBackwardTasks(nb, /*first_slot=*/1);
-  engine::StepSolveResult lead = SolveNow(0, lead_window, clip.t_new, /*restart=*/false);
+  std::vector<HelperTask> backward = PlanBackwardTasks(nb, /*first_slot=*/1);
+  engine::StepSolveResult lead =
+      SolveRound({lead_window, clip.t_new, /*restart=*/false}, backward);
 
   // Publish converged backward points before assessing the leading
-  // candidate: the dense predictor below must see them.  Joining them even
-  // when the lead failed keeps the round exception-safe — every in-flight
-  // future is drained before any failure is acted on.
-  JoinAndPublishBackward(backward);
+  // candidate: the dense predictor below must see them.  They are published
+  // even when the lead failed.
+  PublishBackward(backward);
 
   if (!lead.converged) {
     OnNewtonFailure(h, lead, std::move(lead_deps));

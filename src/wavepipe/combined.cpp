@@ -45,26 +45,20 @@ void PipelineDriver::RunRoundCombined() {
   const double h = clip.t_new - t_now;
   const double cap = BwpGrowthCap(nb);
 
-  // ---- launch: backward helper + speculative chain, then the lead here ------
+  // ---- one fork-join: the lead here, backward helper + speculative chain ----
   const engine::HistoryWindow lead_window = history_.Window(4);
   std::vector<int> lead_deps = DepsOf(lead_window);
-  std::vector<HelperTask> backward = LaunchBackwardTasks(nb, /*first_slot=*/1);
+  std::vector<HelperTask> backward = PlanBackwardTasks(nb, /*first_slot=*/1);
   const int depth = policy_.ChooseChainDepth(std::max(0, options_.threads - 1 - nb));
-  std::vector<HelperTask> chain = LaunchSpeculativeChain(
+  std::vector<HelperTask> chain = PlanSpeculativeChain(
       depth, /*first_slot=*/1 + nb, clip.t_new, h, lead_window);
-  engine::StepSolveResult lead = SolveNow(0, lead_window, clip.t_new, /*restart=*/false);
+  engine::StepSolveResult lead =
+      SolveRound({lead_window, clip.t_new, /*restart=*/false}, backward, chain);
 
-  // ---- join -------------------------------------------------------------------
-  // Drain EVERY in-flight future (chain, backward) before acting on any
-  // outcome — see fwp.cpp for the exception-safety rationale.
-  std::vector<engine::StepSolveResult> spec_results;
-  spec_results.reserve(chain.size());
-  for (auto& task : chain) spec_results.push_back(JoinSolve(task.future));
-
-  JoinAndPublishBackward(backward);
+  PublishBackward(backward);
 
   if (!lead.converged) {
-    DiscardSpeculativeChain(chain, spec_results, 0);
+    DiscardSpeculativeChain(chain, 0);
     policy_.OnChainValidated(static_cast<int>(chain.size()), 0);
     OnNewtonFailure(h, lead, std::move(lead_deps));
     return;
@@ -83,7 +77,7 @@ void PipelineDriver::RunRoundCombined() {
       lead.point->x, dense_prediction, h, /*lte_active=*/true, params);
 
   if (!assess.accept && h > limits_.hmin * (1.0 + 1e-6)) {
-    DiscardSpeculativeChain(chain, spec_results, 0);
+    DiscardSpeculativeChain(chain, 0);
     policy_.OnChainValidated(static_cast<int>(chain.size()), 0);
     Record(SolveKind::kRejected, lead, std::move(lead_deps), /*useful=*/false);
     OnLteRejection(assess, h);
@@ -94,7 +88,7 @@ void PipelineDriver::RunRoundCombined() {
   AcceptPoint(lead.point, id, /*leading=*/true);
   OnLeadingAccepted(assess, /*hit_breakpoint=*/false, cap, h);
 
-  ValidateSpeculativeChain(chain, spec_results);
+  ValidateSpeculativeChain(chain);
 }
 
 }  // namespace wavepipe::pipeline

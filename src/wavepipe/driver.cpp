@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "engine/rescue.hpp"
 #include "parallel/coloring.hpp"
@@ -71,9 +72,10 @@ PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
   // Intra-solve parallelism: ONE shared worker pool serves both colored
   // assembly and level-scheduled LU refactorization (they alternate within a
   // Newton iteration, never overlap); the solving thread runs one share of
-  // each fork-join.  This pool is distinct from pool_ (whose workers run
-  // whole pipelined solves and block on intra-solve futures — a shared pool
-  // there would deadlock).
+  // each fork-join.  This pool is distinct from pool_, whose workers run
+  // whole pipelined solves: a fork-join from a pool's own worker runs
+  // inline, so a shared pool would leave helper solves no intra-solve
+  // workers.
   intra_pool_ = util::ThreadPool::ForThreads(
       std::max(options_.assembly_threads, options_.factor_threads));
 
@@ -126,9 +128,14 @@ bool PipelineDriver::Done() const {
 
 WavePipeResult PipelineDriver::Run() {
   // The round loop is telemetry lane 0; each context slot's solves land on
-  // lane slot+1 (see SubmitSolve and SolveNow), which the Chrome exporter
-  // renders as one track per slot.
+  // lane slot+1 (SolveOn), which the Chrome exporter renders as one track
+  // per slot.  Lanes are named once here, not per solve: registration takes
+  // the registry's mutex, and every solve of a round would take it at once.
   util::telemetry::ScopedLane lane(0, "driver");
+  for (std::size_t slot = 0; slot < contexts_.size(); ++slot) {
+    util::telemetry::RegisterLane(static_cast<std::uint32_t>(slot) + 1,
+                                  "slot-" + std::to_string(slot));
+  }
   total_timer_.Reset();
   result_.trace = engine::Trace(spec_.probes.size() > 0
                                     ? spec_.probes
@@ -254,61 +261,59 @@ PipelineDriver::Clip PipelineDriver::ClipStep(double t_from, double h) {
                                     next_breakpoint_, limits_.hmin);
 }
 
-engine::StepSolveResult PipelineDriver::DrainedFailure(std::string failure) {
-  result_.sched.drained_task_errors += 1;
-  engine::StepSolveResult failed;
-  failed.converged = false;
-  failed.failure = std::move(failure);
-  return failed;
-}
-
-engine::StepSolveResult PipelineDriver::JoinSolve(
-    std::future<engine::StepSolveResult>& future) {
+void PipelineDriver::DrainError(std::exception_ptr& error, engine::StepSolveResult& result) {
+  if (!error) return;
   try {
-    return future.get();
-  } catch (const Error& error) {
-    // A worker task threw (injected fault, singular pivot, poisoned model
-    // evaluation).  Drain it into a failed solve: the round's normal
-    // failure handling owns the policy, and no sibling future is abandoned.
-    return DrainedFailure(error.what());
-  } catch (const std::future_error& error) {
-    return DrainedFailure(std::string("future error: ") + error.what());
+    std::rethrow_exception(std::exchange(error, nullptr));
+  } catch (const Error& thrown) {
+    // An injected fault, a singular pivot, a poisoned model evaluation: the
+    // round's normal failure handling owns the policy.
+    result_.sched.drained_task_errors += 1;
+    result = engine::StepSolveResult{};
+    result.converged = false;
+    result.failure = thrown.what();
   }
 }
 
-std::future<engine::StepSolveResult> PipelineDriver::SubmitSolve(
-    int slot, engine::HistoryWindow window, double t_new, bool restart) {
+engine::StepSolveResult PipelineDriver::SolveOn(int slot, const engine::HistoryWindow& window,
+                                                double t_new, bool restart,
+                                                std::span<const double> seed_x) {
   WP_ASSERT(slot >= 0 && slot < static_cast<int>(contexts_.size()));
-  engine::SolveContext* ctx = contexts_[static_cast<std::size_t>(slot)].get();
-  const engine::Method method = options_.sim.method;
-  const engine::SimOptions sim = options_.sim;
-
-  auto task = [ctx, slot, window = std::move(window), t_new, method, restart, sim]() {
-    util::telemetry::ScopedLane lane(static_cast<std::uint32_t>(slot) + 1,
-                                     "slot-" + std::to_string(slot));
-    return engine::SolveTimePoint(*ctx, window, t_new, method, restart, sim);
-  };
-  if (pool_) return pool_->Submit(std::move(task));
-  // Single-threaded: the driver runs the helper when it joins it, after the
-  // round's leading solve.
-  return std::async(std::launch::deferred, std::move(task));
+  util::telemetry::ScopedLane lane(static_cast<std::uint32_t>(slot) + 1);
+  return engine::SolveTimePoint(*contexts_[static_cast<std::size_t>(slot)], window, t_new,
+                                options_.sim.method, restart, options_.sim, seed_x);
 }
 
-engine::StepSolveResult PipelineDriver::SolveNow(int slot, const engine::HistoryWindow& window,
-                                                 double t_new, bool restart,
-                                                 std::span<const double> seed_x) {
-  WP_ASSERT(slot >= 0 && slot < static_cast<int>(contexts_.size()));
-  util::telemetry::ScopedLane lane(static_cast<std::uint32_t>(slot) + 1,
-                                   "slot-" + std::to_string(slot));
-  try {
-    if (pool_ && WP_FAULT_POINT("pool.task_throw")) {
-      throw util::fault::FaultInjectedError("pool.task_throw");
+engine::StepSolveResult PipelineDriver::SolveRound(const LeadSolve& lead,
+                                                   std::span<HelperTask> backward,
+                                                   std::span<HelperTask> chain) {
+  const std::size_t shares = 1 + backward.size() + chain.size();
+  engine::StepSolveResult lead_result;
+  auto solve = [&](std::size_t share) {
+    if (share == 0) {
+      // ForkJoin evaluates the pool's task fault only when it forks; a solve
+      // of a run with a pool evaluates it even when the lead runs alone.
+      if (shares == 1 && pool_ && WP_FAULT_POINT("pool.task_throw")) {
+        throw util::fault::FaultInjectedError("pool.task_throw");
+      }
+      lead_result = SolveOn(0, lead.window, lead.t_new, lead.restart, lead.seed_x);
+      return;
     }
-    return engine::SolveTimePoint(*contexts_[static_cast<std::size_t>(slot)], window, t_new,
-                                  options_.sim.method, restart, options_.sim, seed_x);
-  } catch (const Error& error) {
-    return DrainedFailure(error.what());
+    HelperTask& task = share <= backward.size() ? backward[share - 1]
+                                                : chain[share - 1 - backward.size()];
+    task.result = SolveOn(task.slot, task.window, task.time, /*restart=*/false, {});
+  };
+  round_errors_.assign(shares, nullptr);
+  util::ThreadPool::ForkJoin(pool_.get(), shares, solve, round_errors_);
+
+  DrainError(round_errors_[0], lead_result);
+  for (std::size_t k = 0; k < backward.size(); ++k) {
+    DrainError(round_errors_[1 + k], backward[k].result);
   }
+  for (std::size_t k = 0; k < chain.size(); ++k) {
+    DrainError(round_errors_[1 + backward.size() + k], chain[k].result);
+  }
+  return lead_result;
 }
 
 std::vector<int> PipelineDriver::DepsOf(const engine::HistoryWindow& window) const {

@@ -3,16 +3,17 @@
 // management, ledger bookkeeping.
 //
 // Each scheme contributes one RunRound*() method (bwp.cpp, fwp.cpp,
-// combined.cpp); a round inspects the shared history, queues its helper
-// SolveTimePoint tasks on per-slot SolveContexts, solves the leading point
-// itself on the driver thread (slot 0), joins the helpers, and decides what
-// to accept.  The driver thread is one of the `threads` that solve, so the
-// pool holds threads - 1 workers.  Rounds are the synchronization unit:
-// between rounds only the driver thread touches shared state, which keeps
-// the scheduler deterministic (a requirement the tests rely on).
+// combined.cpp); a round inspects the shared history, plans its helper
+// solves on per-slot SolveContexts, runs them and the leading point as ONE
+// fork-join (SolveRound: share 0 is the lead on the driver thread, slot 0;
+// share k is helper k on its slot), and decides what to accept.  The driver
+// thread is one of the `threads` that solve, so the pool holds threads - 1
+// workers.  Rounds are the synchronization unit: between rounds only the
+// driver thread touches shared state, which keeps the scheduler
+// deterministic (a requirement the tests rely on).
 #pragma once
 
-#include <future>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <span>
@@ -51,21 +52,6 @@ class PipelineDriver {
   /// two drivers' step sequences are identical by construction.
   Clip ClipStep(double t_from, double h);
 
-  /// Queues SolveTimePoint on context slot `slot` for a pool worker (a
-  /// helper solve).  With no pool (one thread) the solve is deferred and runs
-  /// on the driver thread when its future is joined.
-  std::future<engine::StepSolveResult> SubmitSolve(int slot, engine::HistoryWindow window,
-                                                   double t_new, bool restart);
-
-  /// Runs SolveTimePoint on context slot `slot` on the driver thread (the
-  /// leading solve, the serial scheme's solve, fwp's repair), in the slot's
-  /// telemetry lane.  Like a pool task it evaluates "pool.task_throw" once
-  /// when the run has a pool, and like JoinSolve it folds a thrown Error into
-  /// a failed solve counted in sched.drained_task_errors.
-  engine::StepSolveResult SolveNow(int slot, const engine::HistoryWindow& window,
-                                   double t_new, bool restart,
-                                   std::span<const double> seed_x = {});
-
   /// Ledger ids of the records that produced the window's points (task deps).
   std::vector<int> DepsOf(const engine::HistoryWindow& window) const;
 
@@ -83,15 +69,11 @@ class PipelineDriver {
   /// points).
   void AcceptPoint(const engine::SolutionPointPtr& point, int ledger_id, bool leading);
 
-  /// Joins one solve future, draining any exception the task threw into a
-  /// non-converged StepSolveResult (counted in sched.drained_task_errors).
-  /// Rounds join EVERY in-flight future through this before acting on any
-  /// failure, which is what makes them exception-safe: no future is ever
-  /// abandoned mid-flight, so no worker outcome can be lost or deadlock a
-  /// later round.
-  engine::StepSolveResult JoinSolve(std::future<engine::StepSolveResult>& future);
-  /// The failed solve a drained task error turns into (counted).
-  engine::StepSolveResult DrainedFailure(std::string failure);
+  /// Folds a solve's exception, if any, into a failed result counted in
+  /// sched.drained_task_errors (an Error; anything else propagates).  A
+  /// round acts on no outcome until every solve of its fork-join has
+  /// finished, so no worker outcome is lost or outlives the round.
+  void DrainError(std::exception_ptr& error, engine::StepSolveResult& result);
 
   /// Handles a failed leading solve (Newton divergence): shrink h, count it
   /// toward quarantine, and — once the step has shrunk to hmin — climb the
@@ -117,12 +99,16 @@ class PipelineDriver {
   /// Step-control parameter block with the given growth cap.
   engine::StepControlParams ParamsWithCap(int order, double cap) const;
 
-  /// One in-flight helper solve (backward point or speculative point).
+  /// One in-flight helper solve (backward point or speculative point) on
+  /// context slot `slot`, over `window`.
   struct HelperTask {
+    int slot = 0;
     double time = 0.0;
+    engine::HistoryWindow window;
     engine::SolutionPointPtr predicted_predecessor;  // speculative chains only
     std::vector<int> deps;
-    std::future<engine::StepSolveResult> future;
+    /// Filled by SolveRound.
+    engine::StepSolveResult result;
     /// Predictor that seeded this speculative entry (policy hit-rate scoring).
     SpecPredictor predictor = SpecPredictor::kPolynomial;
     /// Event-aware placement landed this entry exactly on a source corner;
@@ -130,26 +116,47 @@ class PipelineDriver {
     bool hit_breakpoint = false;
   };
 
-  /// Launches `count` backward-point solves inside the trailing history
-  /// interval on context slots first_slot, first_slot+1, ...
-  std::vector<HelperTask> LaunchBackwardTasks(int count, int first_slot);
-  /// Joins backward tasks and publishes converged points (auxiliary) into
-  /// the shared history + ledger.
-  void JoinAndPublishBackward(std::vector<HelperTask>& tasks);
+  /// The leading solve of a round: context slot 0, on the driver thread.
+  struct LeadSolve {
+    const engine::HistoryWindow& window;
+    double t_new = 0.0;
+    bool restart = false;
+    std::span<const double> seed_x = {};  ///< fwp's hot-started repair
+  };
 
-  /// Launches up to `depth` chained speculative solves at t1+h1, t1+2*h1, ...
+  /// Runs a round's solves as ONE fork-join on pool_ and returns the lead's
+  /// result: share 0 solves `lead` on the driver thread, and share k the
+  /// k-th helper (backward points first, then the chain) on its slot,
+  /// storing it in the helper's `result`.  Helpers read their windows and
+  /// options_ in place while the driver waits in the join.  With no pool the
+  /// helpers run after the lead, in order.  Whenever the run has a pool,
+  /// "pool.task_throw" is evaluated once per solve, and a thrown Error
+  /// becomes that solve's failed result, counted in
+  /// sched.drained_task_errors; the other solves' results stand.
+  engine::StepSolveResult SolveRound(const LeadSolve& lead,
+                                     std::span<HelperTask> backward = {},
+                                     std::span<HelperTask> chain = {});
+  /// One solve on context slot `slot`, in the slot's telemetry lane.
+  engine::StepSolveResult SolveOn(int slot, const engine::HistoryWindow& window, double t_new,
+                                  bool restart, std::span<const double> seed_x);
+
+  /// Plans `count` backward-point solves inside the trailing history
+  /// interval on context slots first_slot, first_slot+1, ...
+  std::vector<HelperTask> PlanBackwardTasks(int count, int first_slot);
+  /// Publishes the converged backward points of a finished round
+  /// (auxiliary) into the shared history + ledger.
+  void PublishBackward(std::span<HelperTask> tasks);
+
+  /// Plans up to `depth` chained speculative solves at t1+h1, t1+2*h1, ...
   /// over predicted histories.  Stops before any breakpoint/stop corner.
-  std::vector<HelperTask> LaunchSpeculativeChain(int depth, int first_slot, double t1,
-                                                 double h1,
-                                                 engine::HistoryWindow base_window);
+  std::vector<HelperTask> PlanSpeculativeChain(int depth, int first_slot, double t1,
+                                               double h1,
+                                               engine::HistoryWindow base_window);
   /// Discards an entire speculative chain starting at entry `from` (records
   /// the wasted work in the ledger).
-  void DiscardSpeculativeChain(std::vector<HelperTask>& chain,
-                               std::vector<engine::StepSolveResult>& results,
-                               std::size_t from);
+  void DiscardSpeculativeChain(std::span<HelperTask> chain, std::size_t from);
   /// Validates + repairs the chain after the leading step was accepted.
-  void ValidateSpeculativeChain(std::vector<HelperTask>& chain,
-                                std::vector<engine::StepSolveResult>& results);
+  void ValidateSpeculativeChain(std::span<HelperTask> chain);
 
   /// Number of backward helper points this scheme/thread-count runs per
   /// round (0 when history is too short or a restart is pending).
@@ -199,13 +206,18 @@ class PipelineDriver {
   /// different contexts can share this one instance.
   std::unique_ptr<engine::DeviceAssembler> assembler_;
   /// Helper-solve workers: threads - 1 of them (the driver thread solves the
-  /// lead), none at one thread.
+  /// lead), none at one thread.  Helper k of every round runs on worker
+  /// (k - 1) mod (threads - 1).
   std::unique_ptr<util::ThreadPool> pool_;
+  /// Per-share exceptions of the round in flight (SolveRound); kept so a
+  /// round allocates none.
+  std::vector<std::exception_ptr> round_errors_;
   /// Intra-solve pool shared by colored assembly and level-scheduled LU
   /// factorization, with one worker fewer than the threads that work on a
   /// solve (the solving thread runs one share of every fork-join).
-  /// Deliberately separate from pool_: pipeline workers block on
-  /// intra-solve futures, so the two pools must not share threads.
+  /// Deliberately separate from pool_: helpers run on pool_'s workers, and a
+  /// fork-join from a pool's own worker runs inline.  Concurrent solves
+  /// share it one gang at a time; the others run their shares inline.
   std::unique_ptr<util::ThreadPool> intra_pool_;
   engine::History history_;
   std::map<const engine::SolutionPoint*, int> ledger_id_of_point_;

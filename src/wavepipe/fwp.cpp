@@ -23,7 +23,7 @@
 
 namespace wavepipe::pipeline {
 
-std::vector<PipelineDriver::HelperTask> PipelineDriver::LaunchSpeculativeChain(
+std::vector<PipelineDriver::HelperTask> PipelineDriver::PlanSpeculativeChain(
     int depth, int first_slot, double t1, double h1, engine::HistoryWindow base_window) {
   std::vector<HelperTask> chain;
   if (depth <= 0) return chain;
@@ -67,12 +67,13 @@ std::vector<PipelineDriver::HelperTask> PipelineDriver::LaunchSpeculativeChain(
       if (snap.snapped) clip_next.t_new = snap.time;
     }
     HelperTask task;
+    task.slot = first_slot + d;
     task.time = clip_next.t_new;
+    task.window = window;
     task.predicted_predecessor = predicted;
     task.deps = DepsOf(window);  // predicted points carry no ledger id
     task.predictor = predictor;
     task.hit_breakpoint = corner_landing;
-    task.future = SubmitSolve(first_slot + d, window, clip_next.t_new, /*restart=*/false);
     chain.push_back(std::move(task));
     if (corner_landing) break;
     t_prev = clip_next.t_new;
@@ -81,9 +82,7 @@ std::vector<PipelineDriver::HelperTask> PipelineDriver::LaunchSpeculativeChain(
   return chain;
 }
 
-void PipelineDriver::DiscardSpeculativeChain(std::vector<HelperTask>& chain,
-                                             std::vector<engine::StepSolveResult>& results,
-                                             std::size_t from) {
+void PipelineDriver::DiscardSpeculativeChain(std::span<HelperTask> chain, std::size_t from) {
   for (std::size_t d = from; d < chain.size(); ++d) {
     WP_TINSTANT("sched", "speculation_discarded");
     result_.sched.speculative_solves += 1;
@@ -92,21 +91,20 @@ void PipelineDriver::DiscardSpeculativeChain(std::vector<HelperTask>& chain,
     // Unvalidated tail entries feed the policy's cost averages but not the
     // predictor hit rates (their predictions were never compared to truth).
     policy_.OnEntryOutcome(chain[d].predictor, /*accepted=*/false,
-                           results[d].newton.iterations, /*scored=*/false);
-    Record(SolveKind::kSpeculative, results[d], std::move(chain[d].deps),
+                           chain[d].result.newton.iterations, /*scored=*/false);
+    Record(SolveKind::kSpeculative, chain[d].result, std::move(chain[d].deps),
            /*useful=*/false);
   }
 }
 
-void PipelineDriver::ValidateSpeculativeChain(
-    std::vector<HelperTask>& chain, std::vector<engine::StepSolveResult>& results) {
+void PipelineDriver::ValidateSpeculativeChain(std::span<HelperTask> chain) {
   const engine::StepControlParams params =
       ParamsWithCap(engine::MethodOrder(options_.sim.method), options_.sim.step_growth);
 
   int accepted_entries = 0;
   for (std::size_t d = 0; d < chain.size(); ++d) {
     HelperTask& task = chain[d];
-    engine::StepSolveResult& spec = results[d];
+    engine::StepSolveResult& spec = task.result;
     result_.sched.speculative_solves += 1;
 
     const engine::SolutionPointPtr truth = history_.newest();  // real predecessor
@@ -198,7 +196,7 @@ void PipelineDriver::ValidateSpeculativeChain(
           CountSchemeSpeculation(/*accepted=*/true);
           policy_.OnEntryOutcome(task.predictor, /*accepted=*/true,
                                  spec.newton.iterations, /*scored=*/true);
-          DiscardSpeculativeChain(chain, results, d + 1);
+          DiscardSpeculativeChain(chain, d + 1);
           policy_.OnChainValidated(static_cast<int>(chain.size()), accepted_entries);
           return;
         }
@@ -225,7 +223,7 @@ void PipelineDriver::ValidateSpeculativeChain(
       std::vector<int> repair_deps = DepsOf(true_window);
       repair_deps.push_back(spec_id);
       engine::StepSolveResult repair =
-          SolveNow(0, true_window, task.time, /*restart=*/false, spec.point->x);
+          SolveRound({true_window, task.time, /*restart=*/false, spec.point->x});
       result_.sched.repair_solves += 1;
       result_.sched.repair_newton_iterations +=
           static_cast<std::uint64_t>(repair.newton.iterations);
@@ -247,7 +245,7 @@ void PipelineDriver::ValidateSpeculativeChain(
             CountSchemeSpeculation(/*accepted=*/true);
             policy_.OnEntryOutcome(task.predictor, /*accepted=*/true,
                                    spec.newton.iterations, /*scored=*/true);
-            DiscardSpeculativeChain(chain, results, d + 1);
+            DiscardSpeculativeChain(chain, d + 1);
             policy_.OnChainValidated(static_cast<int>(chain.size()), accepted_entries);
             return;
           }
@@ -268,7 +266,7 @@ void PipelineDriver::ValidateSpeculativeChain(
     if (!chain_continues) {
       WP_TINSTANT("sched", "speculation_discarded");
       result_.sched.speculative_discarded += 1;
-      DiscardSpeculativeChain(chain, results, d + 1);
+      DiscardSpeculativeChain(chain, d + 1);
       policy_.OnChainValidated(static_cast<int>(chain.size()), accepted_entries);
       return;
     }
@@ -293,24 +291,19 @@ void PipelineDriver::RunRoundForward() {
   }
   const double h1 = clip1.t_new - t_now;
 
-  // ---- launch: speculative chain, then the lead on this thread -------------
+  // ---- one fork-join: the lead on this thread, the chain on the workers ------
+  // A worker exception folds into that entry's failed solve (SolveRound);
+  // the rest of the chain still runs to the join.
   const engine::HistoryWindow base_window = history_.Window(4);
   std::vector<int> lead_deps = DepsOf(base_window);
   const int depth = policy_.ChooseChainDepth(std::min(options_.threads - 1, 3));
   std::vector<HelperTask> chain =
-      LaunchSpeculativeChain(depth, /*first_slot=*/1, clip1.t_new, h1, base_window);
-  engine::StepSolveResult lead = SolveNow(0, base_window, clip1.t_new, /*restart=*/false);
-
-  // ---- join -------------------------------------------------------------------
-  // Drain EVERY in-flight future before acting on any outcome: a worker
-  // exception folds into a failed solve (JoinSolve) instead of abandoning
-  // the rest of the chain mid-flight.
-  std::vector<engine::StepSolveResult> spec_results;
-  spec_results.reserve(chain.size());
-  for (auto& task : chain) spec_results.push_back(JoinSolve(task.future));
+      PlanSpeculativeChain(depth, /*first_slot=*/1, clip1.t_new, h1, base_window);
+  engine::StepSolveResult lead =
+      SolveRound({base_window, clip1.t_new, /*restart=*/false}, {}, chain);
 
   if (!lead.converged) {
-    DiscardSpeculativeChain(chain, spec_results, 0);
+    DiscardSpeculativeChain(chain, 0);
     policy_.OnChainValidated(static_cast<int>(chain.size()), 0);
     OnNewtonFailure(h1, lead, std::move(lead_deps));
     return;
@@ -321,7 +314,7 @@ void PipelineDriver::RunRoundForward() {
   const engine::StepAssessment lead_assess =
       engine::AssessStep(lead.point->x, lead.predicted, h1, /*lte_active=*/true, params);
   if (!lead_assess.accept && h1 > limits_.hmin * (1.0 + 1e-6)) {
-    DiscardSpeculativeChain(chain, spec_results, 0);
+    DiscardSpeculativeChain(chain, 0);
     policy_.OnChainValidated(static_cast<int>(chain.size()), 0);
     Record(SolveKind::kRejected, lead, std::move(lead_deps), /*useful=*/false);
     OnLteRejection(lead_assess, h1);
@@ -334,7 +327,7 @@ void PipelineDriver::RunRoundForward() {
   OnLeadingAccepted(lead_assess, /*hit_breakpoint=*/false,
                     options_.sim.step_growth, h1);
 
-  ValidateSpeculativeChain(chain, spec_results);
+  ValidateSpeculativeChain(chain);
 }
 
 }  // namespace wavepipe::pipeline

@@ -15,7 +15,7 @@ void PipelineDriver::RunRoundSerial() {
 
   const engine::HistoryWindow window = history_.Window(4);
   std::vector<int> deps = DepsOf(window);
-  const engine::StepSolveResult solve = SolveNow(0, window, clip.t_new, restart_);
+  const engine::StepSolveResult solve = SolveRound({window, clip.t_new, restart_});
 
   if (!solve.converged) {
     OnNewtonFailure(h, solve, std::move(deps));

@@ -242,9 +242,16 @@ TEST_F(StallWatchdogTest, ProgressPreventsEscalation) {
   StallWatchdog watchdog(options, stats);
   watchdog.AddSource(&beat);
   watchdog.Start();
-  for (int i = 0; i < 40; ++i) {
+  // Beat once per watchdog sample, not per tick of this thread's own clock:
+  // each interval between two samples sees a beat however late this thread
+  // wakes, so only a real absence of progress could read as a stall.
+  std::uint64_t seen = watchdog.samples();
+  for (int i = 0; i < 20; ++i) {
     beat.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    while (watchdog.samples() == seen) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    seen = watchdog.samples();
   }
   EXPECT_FALSE(watchdog.ShouldAbort());
   watchdog.Finish();
@@ -269,7 +276,11 @@ TEST_F(StallWatchdogTest, DisabledWatchdogNeverStartsItsThread) {
 // ---------------------------------------------------------------------------
 
 TEST_F(StallWatchdogTest, SerialEngineEscalatesAStallIntoACheckpointedAbort) {
-  const auto gen = circuits::MakeRcMesh(8, 8);
+  // A horizon 100x the generator's: ~0.2 s of serial run on a 4-vCPU host
+  // (5 ms at 1x), two hundred 1 ms samples, so the first sample escalates
+  // long before the run could complete on its own.
+  auto gen = circuits::MakeRcMesh(8, 8);
+  gen.spec.tstop *= 100.0;
   engine::MnaStructure mna(*gen.circuit);
   const std::string base = ::testing::TempDir() + "/watchdog_abort.ckpt";
   std::remove((base + ".a").c_str());

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
@@ -220,6 +221,157 @@ TEST(ThreadPool, ForkJoinEvaluatesTheTaskFaultOncePerShare) {
     EXPECT_EQ(site.fired(), 3u);
     EXPECT_EQ(ran.load(), 0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The gang: static placement, one gang at a time, parking
+// ---------------------------------------------------------------------------
+
+TEST(ThreadPool, ForkJoinPlacesEachShareOnTheSameWorkerEveryTime) {
+  ThreadPool pool(3);
+  constexpr std::size_t kShares = 8;  // wraps: share s runs on worker (s - 1) mod 3
+  std::vector<std::thread::id> first(kShares), second(kShares);
+  ThreadPool::ForkJoin(&pool, kShares,
+                       [&](std::size_t share) { first[share] = std::this_thread::get_id(); });
+  ThreadPool::ForkJoin(&pool, kShares,
+                       [&](std::size_t share) { second[share] = std::this_thread::get_id(); });
+  for (std::size_t share = 0; share < kShares; ++share) {
+    EXPECT_EQ(first[share], second[share]) << share;
+  }
+  for (std::size_t share = 1; share + 3 < kShares; ++share) {
+    EXPECT_EQ(first[share], first[share + 3]) << share;
+    EXPECT_NE(first[share], first[share + 1]) << share;
+  }
+}
+
+TEST(ThreadPool, ConcurrentForkJoinsOnOnePoolRunOneGangAndOneInline) {
+  ThreadPool pool(3);
+  constexpr std::size_t kShares = 4;
+  std::vector<std::atomic<int>> runs_a(kShares), runs_b(kShares);
+  std::vector<std::thread::id> ran_b(kShares);
+  std::thread::id thread_b;
+  std::atomic<bool> a_holds_the_gang{false}, b_done{false};
+  std::thread a([&] {
+    ThreadPool::ForkJoin(&pool, kShares, [&](std::size_t share) {
+      runs_a[share].fetch_add(1);
+      if (share != 0) return;
+      // Keep the gang until the other caller's fork-join has returned.
+      a_holds_the_gang = true;
+      while (!b_done) std::this_thread::yield();
+    });
+  });
+  std::thread b([&] {
+    while (!a_holds_the_gang) std::this_thread::yield();
+    thread_b = std::this_thread::get_id();
+    ThreadPool::ForkJoin(&pool, kShares, [&](std::size_t share) {
+      runs_b[share].fetch_add(1);
+      ran_b[share] = std::this_thread::get_id();
+    });
+    b_done = true;
+  });
+  a.join();
+  b.join();
+  for (std::size_t share = 0; share < kShares; ++share) {
+    EXPECT_EQ(runs_a[share].load(), 1) << share;
+    EXPECT_EQ(runs_b[share].load(), 1) << share;
+    EXPECT_EQ(ran_b[share], thread_b) << "the busy gang must run share " << share << " inline";
+  }
+}
+
+TEST(ThreadPool, ForkJoinNestedInAShareOfTheSamePoolRunsInline) {
+  ThreadPool pool(2);
+  constexpr std::size_t kShares = 3;
+  std::vector<std::thread::id> outer(kShares);
+  std::vector<std::vector<std::thread::id>> inner(kShares, std::vector<std::thread::id>(kShares));
+  ThreadPool::ForkJoin(&pool, kShares, [&](std::size_t share) {
+    outer[share] = std::this_thread::get_id();
+    ThreadPool::ForkJoin(&pool, kShares, [&](std::size_t i) {
+      inner[share][i] = std::this_thread::get_id();
+    });
+  });
+  for (std::size_t share = 0; share < kShares; ++share) {
+    for (std::size_t i = 0; i < kShares; ++i) EXPECT_EQ(inner[share][i], outer[share]);
+  }
+}
+
+TEST(ThreadPool, ForkJoinRethrowsAWorkerFailureThatLandsAfterTheCallerParked) {
+  ThreadPool pool(2);
+  try {
+    ThreadPool::ForkJoin(&pool, 3, [](std::size_t share) {
+      if (share != 2) return;
+      // Far past the spin budget: the caller has parked by now.
+      std::this_thread::sleep_for(ThreadPool::kSpinBudget * 50);
+      throw std::runtime_error("late");
+    });
+    FAIL() << "ForkJoin lost the late failure";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "late");
+  }
+  // The pool is healthy afterwards.
+  std::atomic<int> runs{0};
+  ThreadPool::ForkJoin(&pool, 3, [&](std::size_t) { runs.fetch_add(1); });
+  EXPECT_EQ(runs.load(), 3);
+}
+
+TEST(ThreadPool, ForkJoinCanHandBackEveryShareFailure) {
+  ThreadPool pool(2);
+  std::vector<std::exception_ptr> errors(5);
+  std::atomic<int> finished{0};
+  ThreadPool::ForkJoin(
+      &pool, errors.size(),
+      [&](std::size_t share) {
+        if (share == 1 || share == 4) throw std::runtime_error(std::to_string(share));
+        finished.fetch_add(1);
+      },
+      errors);
+  EXPECT_EQ(finished.load(), 3);
+  for (std::size_t share = 0; share < errors.size(); ++share) {
+    EXPECT_EQ(errors[share] != nullptr, share == 1 || share == 4) << share;
+  }
+  EXPECT_THROW(std::rethrow_exception(errors[4]), std::runtime_error);
+
+  // The injected task fault lands in its share's slot like any failure.
+  std::vector<std::exception_ptr> faulted(3);
+  fault::Schedule second;
+  second.skip = 1;
+  fault::ScopedFault site("pool.task_throw", second);
+  ThreadPool::ForkJoin(&pool, faulted.size(), [](std::size_t) {}, faulted);
+  EXPECT_EQ(site.hits(), 3u);
+  int failures = 0;
+  for (const auto& error : faulted) {
+    if (!error) continue;
+    ++failures;
+    EXPECT_THROW(std::rethrow_exception(error), fault::FaultInjectedError);
+  }
+  EXPECT_EQ(failures, 1);
+}
+
+TEST(ThreadPool, HeartbeatsTickOncePerWorkerShare) {
+  ThreadPool pool(3);
+  for (std::size_t shares : {2u, 4u, 9u}) {
+    const std::uint64_t started = pool.tasks_started_heartbeat().load();
+    const std::uint64_t completed = pool.tasks_completed_heartbeat().load();
+    ThreadPool::ForkJoin(&pool, shares, [](std::size_t) {});
+    EXPECT_EQ(pool.tasks_started_heartbeat().load() - started, shares - 1) << shares;
+    EXPECT_EQ(pool.tasks_completed_heartbeat().load() - completed, shares - 1) << shares;
+  }
+}
+
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) { return tv.tv_sec + tv.tv_usec * 1e-6; };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(ThreadPool, IdleWorkersParkOnceTheSpinBudgetRunsOut) {
+  // Nobody busy-waits past the spin budget: a pool that spun forever would
+  // burn ~600 ms of CPU (3 workers) over the sleep.
+  ThreadPool pool(3);
+  ThreadPool::ForkJoin(&pool, 4, [](std::size_t) {});
+  const double before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(ProcessCpuSeconds() - before, 0.020);
 }
 
 }  // namespace
