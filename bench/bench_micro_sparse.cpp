@@ -67,8 +67,10 @@ void BM_OrderingMinDegree(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sparse::MinimumDegreeOrder(a));
   }
+  state.SetLabel(std::to_string(a.cols()) + " unknowns");
 }
-BENCHMARK(BM_OrderingMinDegree)->Arg(8)->Arg(16);
+// 24 and 64 are the meshes of perfbench's grid_lu and of powergrid64x64.
+BENCHMARK(BM_OrderingMinDegree)->Arg(8)->Arg(16)->Arg(24)->Arg(64);
 
 void BM_FillByOrdering(benchmark::State& state) {
   // Measures factor time under the three orderings (fill differences).

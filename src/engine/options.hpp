@@ -218,7 +218,9 @@ struct SimOptions {
   /// variants of one pattern a single cache so the minimum-degree ordering
   /// is computed once; a cache hit returns the identical permutation the
   /// instance would have computed itself, so results stay bit-identical.
-  /// Not owned; null (default) keeps the historical private-cache behavior.
+  /// Not owned.  Null (default): a pipeline run shares a cache of its own
+  /// across its contexts; the serial and fine-grained loops, with one LU,
+  /// keep its private single-slot cache.
   sparse::OrderingCache* ordering_cache = nullptr;
   /// Precomputed BBD partition plan (partition::PartitionPattern) reused
   /// instead of re-partitioning when partition_pieces > 0.  The plan is a

@@ -83,16 +83,19 @@ void SparseLu::ComputeOrdering(const CscMatrix& matrix) {
       return;
     }
   }
-  switch (options_.ordering) {
-    case Options::Ordering::kMinimumDegree:
-      q_ = MinimumDegreeOrder(matrix);
-      break;
-    case Options::Ordering::kNatural:
-      q_ = NaturalOrder(matrix.cols());
-      break;
-    case Options::Ordering::kRcm:
-      q_ = ReverseCuthillMcKeeOrder(matrix);
-      break;
+  {
+    WP_TSPAN("factor", "ordering");
+    switch (options_.ordering) {
+      case Options::Ordering::kMinimumDegree:
+        q_ = MinimumDegreeOrder(matrix);
+        break;
+      case Options::Ordering::kNatural:
+        q_ = NaturalOrder(matrix.cols());
+        break;
+      case Options::Ordering::kRcm:
+        q_ = ReverseCuthillMcKeeOrder(matrix);
+        break;
+    }
   }
   if (ordering_cache_ != nullptr) {
     // First insert wins; adopt whatever the cache settled on so concurrent

@@ -15,8 +15,13 @@ class CscMatrix;
 /// Minimum-degree ordering of the undirected graph of A + A^T.
 /// Returns a permutation `order` with order[k] = the k-th pivot, i.e. columns
 /// of A should be eliminated in the sequence order[0], order[1], ...
-/// Uses a quotient-graph-free eager elimination (adjacency merging), which is
-/// O(n * avg_fill) — fine for the 10^2..10^5 unknowns this project targets.
+/// Exact greedy minimum degree: every step eliminates the live vertex of
+/// smallest exact degree in the elimination graph, ties to the lowest index.
+/// The elimination graph is kept as a quotient graph (each eliminated pivot
+/// becomes an element that absorbs the elements it covers), so elimination
+/// never forms a clique; degrees are recounted exactly with a stamped
+/// marker.  No approximate degrees, mass or multiple elimination: each of
+/// those picks a different order, and every factor depends on this one.
 std::vector<int> MinimumDegreeOrder(const CscMatrix& matrix);
 
 /// Natural (identity) ordering, as a baseline for the micro benchmarks.

@@ -5,9 +5,12 @@
 // FactorOrRefactor pivot-failure fallback re-factors the identical pattern,
 // every WavePipe context factors the same circuit matrix, and a domain-
 // decomposed solve factors many pieces whose patterns often coincide (equal
-// mesh stripes).  SparseLu has always kept a private single-slot cache; this
-// promotes it to a shared, explicitly keyed artifact several SparseLu
-// instances (and, later, batch variants) reuse concurrently.
+// mesh stripes).  SparseLu keeps a private single-slot cache; this promotes
+// it to a shared, explicitly keyed artifact several SparseLu instances reuse
+// concurrently.  The sharers: the contexts of one pipeline run (the
+// driver's run-level cache), the pieces of one BBD solver, and every
+// variant of a batch (SimOptions::ordering_cache, which then also replaces
+// the pipeline's own).  No cache outlives its run or batch.
 //
 // Keying: (n, nnz, FNV-1a pattern hash, ordering kind).  A hash collision
 // merely reuses a permutation computed for a different pattern, which costs

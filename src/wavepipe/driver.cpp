@@ -102,9 +102,10 @@ PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
   // Latency bypass / chord Newton: per-context caches and factor-reuse
   // state, so pipelined solves on different contexts never share them.
   for (auto& ctx : contexts_) ctx->ConfigureAcceleration(options_.sim);
-  if (options_.sim.ordering_cache != nullptr) {
-    for (auto& ctx : contexts_) ctx->lu.set_ordering_cache(options_.sim.ordering_cache);
-  }
+  sparse::OrderingCache* const ordering_cache = options_.sim.ordering_cache != nullptr
+                                                    ? options_.sim.ordering_cache
+                                                    : &ordering_cache_;
+  for (auto& ctx : contexts_) ctx->lu.set_ordering_cache(ordering_cache);
   chord_configured_ = options_.sim.chord_newton;
   for (auto& ctx : contexts_) ctx->record_factor_seeds = sink_.enabled();
 

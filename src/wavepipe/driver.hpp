@@ -25,6 +25,7 @@
 #include "engine/resilience.hpp"
 #include "engine/step_control.hpp"
 #include "engine/transient.hpp"
+#include "sparse/ordering_cache.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 #include "wavepipe/wavepipe.hpp"
@@ -199,6 +200,12 @@ class PipelineDriver {
   std::vector<double> breakpoints_;
 
   // ---- run state -------------------------------------------------------------
+  /// The run's fill-reducing orderings, attached to every context's LU
+  /// unless options_.sim.ordering_cache brings the caller's: every context
+  /// factors the one circuit pattern, so the DC operating point orders it
+  /// and every helper and speculative context reuses that ordering.
+  /// Declared before contexts_ so it outlives them.
+  sparse::OrderingCache ordering_cache_;
   std::vector<std::unique_ptr<engine::SolveContext>> contexts_;
   /// Shared conflict-free colored assembler (parallel/coloring.hpp) attached
   /// to every context when options_.assembly_threads engages it.  Colored
