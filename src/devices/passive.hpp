@@ -12,7 +12,7 @@ class Resistor final : public Device {
  public:
   Resistor(std::string name, int p, int n, double resistance);
 
-  void Bind(Binder& binder) override {}
+  void Bind(Binder&) override {}
   void DeclarePattern(PatternBuilder& pattern) override;
   void Eval(EvalContext& ctx) const override;
   void StampFootprint(std::vector<int>& jacobian_slots,

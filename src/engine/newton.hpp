@@ -70,7 +70,7 @@ struct AssemblyStats {
   std::uint64_t passes = 0;         ///< assembly passes executed
   double zero_seconds = 0.0;        ///< zeroing matrix/RHS (shared or private)
   double stamp_seconds = 0.0;       ///< device evaluation proper
-  double merge_seconds = 0.0;       ///< reduction sweep or color barriers
+  double merge_seconds = 0.0;       ///< reduction publish + shared sum, or color barriers
 
   /// Registers the numeric fields under the `assembly.` prefix; the strategy
   /// string travels in the run-stats header, not the registry.
@@ -232,8 +232,11 @@ class SolveContext {
   /// run (partition::PartitionPattern) and hand the same shared plan to every
   /// context, so WavePipe workers don't re-partition.  Never called with the
   /// default options — the monolithic ctx.lu path stays bit-identical.
-  void ConfigurePartition(std::shared_ptr<const sparse::BbdPlan> plan) {
-    bbd.Configure(std::move(plan), structure_->pattern());
+  /// `ordering_cache` is the run's shared ordering cache, the one attached
+  /// to ctx.lu (null: the solver keeps its own).
+  void ConfigurePartition(std::shared_ptr<const sparse::BbdPlan> plan,
+                          sparse::OrderingCache* ordering_cache = nullptr) {
+    bbd.Configure(std::move(plan), structure_->pattern(), {}, ordering_cache);
   }
 
   /// True when linear solves go through the BBD path instead of ctx.lu.
@@ -315,9 +318,10 @@ class SolveContext {
   /// loop turns them into its PhaseBreakdown.
   double eval_seconds = 0.0;
   double lu_seconds = 0.0;
-  /// Lifetime seconds an attached assembler spent merging (reduction sweep
-  /// or color barriers) on THIS context — part of eval_seconds.  Kept per
-  /// context because pipeline slots share one assembler.
+  /// Lifetime seconds an attached assembler spent merging (reduction
+  /// publish and shared-slot sum, or color barriers) on THIS context — part
+  /// of eval_seconds.  Kept per context because pipeline slots share one
+  /// assembler.
   double merge_seconds = 0.0;
 
   /// Liveness heartbeat: ticked once per Newton iteration (relaxed; a

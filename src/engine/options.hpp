@@ -219,8 +219,9 @@ struct SimOptions {
   /// is computed once; a cache hit returns the identical permutation the
   /// instance would have computed itself, so results stay bit-identical.
   /// Not owned.  Null (default): a pipeline run shares a cache of its own
-  /// across its contexts; the serial and fine-grained loops, with one LU,
-  /// keep its private single-slot cache.
+  /// across its contexts, BBD pieces (--partition) included; the serial and
+  /// fine-grained loops, with one LU, keep its private single-slot cache and
+  /// a BBD solver's own piece cache.
   sparse::OrderingCache* ordering_cache = nullptr;
   /// Precomputed BBD partition plan (partition::PartitionPattern) reused
   /// instead of re-partitioning when partition_pieces > 0.  The plan is a

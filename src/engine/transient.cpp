@@ -227,7 +227,8 @@ TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& s
     ctx.ConfigurePartition(
         options.partition_plan != nullptr
             ? options.partition_plan
-            : partition::PartitionPattern(structure.pattern(), options.partition_pieces));
+            : partition::PartitionPattern(structure.pattern(), options.partition_pieces),
+        options.ordering_cache);
   }
   watchdog.AddSource(&ctx.heartbeat);
   if (intra.pool != nullptr) {

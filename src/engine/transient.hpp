@@ -227,7 +227,7 @@ struct TransientStats {
 /// checkpoints).
 struct PhaseBreakdown {
   double model_eval = 0.0;  ///< device evaluation, merge excluded
-  double reduction = 0.0;   ///< assembler merge sweep / color barriers
+  double reduction = 0.0;   ///< assembler merge: reduction publish + shared sum, or color barriers
   double lu = 0.0;          ///< factor + triangular solves
   double control = 0.0;     ///< everything else
 

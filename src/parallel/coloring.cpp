@@ -210,7 +210,10 @@ AssemblyCostEstimate CompareAssemblyCosts(const ColorSchedule& schedule,
   // Critical-path overhead per assembly pass, in write units.  The stamping
   // itself is identical work in both paths and cancels.
   //   reduction: zero k private copies (parallel, ~1 sweep) + serial merge
-  //              of k copies.
+  //              of k copies.  That was the full k-copy merge; the
+  //              reduction assembler now copies out owned slots in parallel
+  //              and sums only shared ones, so this overstates it.  It
+  //              stays: kAuto's choice, and so the output bits, follow it.
   //   colored:   zero the shared copy (parallel) + one barrier per color.
   est.reduction = (k + 1.0) * sweep;
   est.colored = sweep / k + static_cast<double>(schedule.num_colors()) * kBarrierWriteUnits;
@@ -280,87 +283,233 @@ class AssemblerBase : public engine::DeviceAssembler {
   engine::AssemblyStats stats_;
 };
 
-/// The old fine-grained baseline, behind the DeviceAssembler interface:
-/// contiguous device chunks accumulate into private full-size Jacobian/RHS
-/// copies, merged serially afterwards.  Owns the private buffers, so it can
-/// only drive one SolveContext at a time.
+/// One output of an assembly pass — the Jacobian values or the RHS — as
+/// the reduction assembler's chunks split it: a private full-length copy per
+/// chunk, and, fixed at construction from the device footprints, the ids
+/// that exactly one chunk writes (OWNED), that several write (SHARED, with
+/// their writers in chunk order) and that none writes (UNTOUCHED).  Owned
+/// and untouched ids are kept as runs of consecutive ids, copied and
+/// cleared as blocks: a node only one chunk's devices touch has its whole
+/// CSC column in one run.  Every copy is all zero between passes.
+class ChunkedVector {
+ public:
+  ChunkedVector() = default;
+
+  /// `writes[c]` lists the ids chunk c's devices may write, sorted and
+  /// unique; `size` is the length of the output.
+  ChunkedVector(const std::vector<std::vector<int>>& writes, std::size_t size)
+      : copies_(writes.size(), std::vector<double>(size, 0.0)), owned_(writes.size()) {
+    std::vector<int> writers(size, 0);
+    for (const auto& ids : writes) {
+      for (int id : ids) ++writers[static_cast<std::size_t>(id)];
+    }
+    for (std::size_t c = 0; c < writes.size(); ++c) {
+      for (int id : writes[c]) {
+        if (writers[static_cast<std::size_t>(id)] == 1) AppendToRuns(owned_[c], id);
+      }
+    }
+    shared_begin_.push_back(0);
+    for (std::size_t id = 0; id < size; ++id) {
+      if (writers[id] == 0) {
+        AppendToRuns(untouched_, static_cast<int>(id));
+      } else if (writers[id] > 1) {
+        shared_.push_back(static_cast<int>(id));
+        shared_begin_.push_back(shared_begin_.back() + writers[id]);
+      }
+    }
+    // Each shared id's writers, filled in chunk order: next[id] is its next
+    // free position in shared_writers_.
+    std::vector<int> next(size, 0);
+    for (std::size_t s = 0; s < shared_.size(); ++s) {
+      next[static_cast<std::size_t>(shared_[s])] = shared_begin_[s];
+    }
+    shared_writers_.resize(static_cast<std::size_t>(shared_begin_.back()));
+    for (std::size_t c = 0; c < writes.size(); ++c) {
+      for (int id : writes[c]) {
+        const auto i = static_cast<std::size_t>(id);
+        if (writers[i] > 1) {
+          shared_writers_[static_cast<std::size_t>(next[i]++)] = static_cast<int>(c);
+        }
+      }
+    }
+  }
+
+  std::span<double> copy(std::size_t chunk) { return copies_[chunk]; }
+  bool has_shared() const { return !shared_.empty(); }
+
+  /// Copies the ids only `chunk` writes into `out` and zeroes them in its
+  /// copy.  Chunks own disjoint ids, so every chunk may publish at once.
+  void PublishOwned(std::size_t chunk, std::span<double> out) {
+    const auto copy = copies_[chunk].begin();
+    for (const Run& run : owned_[chunk]) {
+      std::copy(copy + run.begin, copy + run.end, out.begin() + run.begin);
+      std::fill(copy + run.begin, copy + run.end, 0.0);
+    }
+  }
+
+  /// Sets each shared id of `out` to 0.0 plus its writers' values in chunk
+  /// order, zeroing them in their copies.
+  void SumShared(std::span<double> out) {
+    for (std::size_t s = 0; s < shared_.size(); ++s) {
+      const auto i = static_cast<std::size_t>(shared_[s]);
+      double sum = 0.0;
+      for (int w = shared_begin_[s]; w < shared_begin_[s + 1]; ++w) {
+        const auto writer = static_cast<std::size_t>(shared_writers_[static_cast<std::size_t>(w)]);
+        double& value = copies_[writer][i];
+        sum += value;
+        value = 0.0;
+      }
+      out[i] = sum;
+    }
+  }
+
+  void ZeroUntouched(std::span<double> out) const {
+    for (const Run& run : untouched_) {
+      std::fill(out.begin() + run.begin, out.begin() + run.end, 0.0);
+    }
+  }
+
+  /// Zeroes every copy whole: after a pass that threw, a copy may hold
+  /// stamps anywhere in its chunk's footprint.
+  void ClearCopies() {
+    for (auto& copy : copies_) std::fill(copy.begin(), copy.end(), 0.0);
+  }
+
+ private:
+  /// Ids begin .. end - 1.
+  struct Run {
+    int begin;
+    int end;
+  };
+  /// Appends `id`, larger than every id already in `runs`.
+  static void AppendToRuns(std::vector<Run>& runs, int id) {
+    if (!runs.empty() && runs.back().end == id) {
+      ++runs.back().end;
+    } else {
+      runs.push_back({id, id + 1});
+    }
+  }
+
+  std::vector<std::vector<double>> copies_;  ///< per chunk
+  std::vector<std::vector<Run>> owned_;      ///< per chunk, ascending
+  std::vector<int> shared_;                  ///< ascending
+  /// shared_[s] is written by chunks shared_writers_[shared_begin_[s] ..
+  /// shared_begin_[s + 1]), ascending.
+  std::vector<int> shared_begin_;
+  std::vector<int> shared_writers_;
+  std::vector<Run> untouched_;
+};
+
+/// The fine-grained reduction strategy, behind the DeviceAssembler
+/// interface: contiguous device chunks stamp into private Jacobian/RHS
+/// copies.  Each chunk then publishes the slots and rows only it writes into
+/// ctx.matrix/ctx.rhs itself; after the join the calling thread sums the few
+/// that several chunks write and zeroes the ones no device writes.  No pass
+/// sweeps a whole copy, yet every output bit equals the full k-copy merge
+/// (0.0 + copy_0 + ... + copy_{k-1}): a chunk's stamps accumulate from +0.0,
+/// so they are never -0.0 and adding another chunk's +0.0 changes nothing,
+/// and shared slots keep chunk order.  That relies on every device writing
+/// only inside its StampFootprint — the contract colored assembly already
+/// relies on.  Owns the private copies, so it can only drive one
+/// SolveContext at a time.
 class ReductionAssembler final : public AssemblerBase {
  public:
   ReductionAssembler(const engine::Circuit& circuit, const engine::MnaStructure& structure,
                      int threads, util::ThreadPool* shared_pool)
       : AssemblerBase(circuit, structure, threads, shared_pool) {
     stats_.strategy = "reduction";
-    const std::size_t num_devices = circuit.devices().size();
+    const auto& devices = circuit.devices();
+    const std::size_t num_devices = devices.size();
     const std::size_t per_chunk =
         (num_devices + static_cast<std::size_t>(threads_) - 1) /
         static_cast<std::size_t>(std::max(1, threads_));
+    std::vector<std::vector<int>> slots, rows;  // what each chunk may write
     for (std::size_t begin = 0; begin < num_devices; begin += per_chunk) {
-      chunks_.emplace_back(begin, std::min(begin + per_chunk, num_devices));
+      chunks_.push_back({begin, std::min(begin + per_chunk, num_devices)});
+      std::vector<int>& chunk_slots = slots.emplace_back();
+      std::vector<int>& chunk_rows = rows.emplace_back();
+      for (std::size_t d = chunks_.back().begin; d < chunks_.back().end; ++d) {
+        const StampFootprintSet fp = FootprintOf(*devices[d], structure);
+        chunk_slots.insert(chunk_slots.end(), fp.jacobian_slots.begin(),
+                           fp.jacobian_slots.end());
+        chunk_rows.insert(chunk_rows.end(), fp.rhs_rows.begin(), fp.rhs_rows.end());
+      }
+      for (std::vector<int>* ids : {&chunk_slots, &chunk_rows}) {
+        std::sort(ids->begin(), ids->end());
+        ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+      }
     }
-    buffers_.resize(chunks_.size());
-    for (auto& buf : buffers_) {
-      buf.jacobian.assign(structure.nnz(), 0.0);
-      buf.rhs.assign(static_cast<std::size_t>(structure.dimension()), 0.0);
-    }
+    jacobian_ = ChunkedVector(slots, structure.nnz());
+    rhs_ = ChunkedVector(rows, static_cast<std::size_t>(structure.dimension()));
   }
 
   void Assemble(engine::SolveContext& ctx, const engine::NewtonInputs& inputs,
                 bool limit_valid, bool first_iteration) override {
     const bool pooled = pool_ != nullptr;
+    const std::span<double> values = ctx.matrix.mutable_values();
+    const std::span<double> rhs = ctx.rhs;
     auto run_chunk = [&](std::size_t c) {
-      Buffers& buf = buffers_[c];
-      buf.zero_seconds = Timed(pooled, [&] {
-        std::fill(buf.jacobian.begin(), buf.jacobian.end(), 0.0);
-        std::fill(buf.rhs.begin(), buf.rhs.end(), 0.0);
-      });
-      buf.stamp_seconds = Timed(pooled, [&] {
-        devices::EvalContext eval =
-            MakeEval(ctx, inputs, limit_valid, first_iteration, buf.jacobian, buf.rhs);
+      Chunk& chunk = chunks_[c];
+      chunk.stamp_seconds = Timed(pooled, [&] {
+        devices::EvalContext eval = MakeEval(ctx, inputs, limit_valid, first_iteration,
+                                             jacobian_.copy(c), rhs_.copy(c));
         const auto& devices = circuit_.devices();
         if (ctx.bypass.active()) {
-          // Replay works against private buffers too: a device lives in one
-          // chunk, its chunk buffer is zeroed every pass, so the captured
-          // deltas are exactly what the merge sweep would have summed.
-          for (std::size_t i = chunks_[c].first; i < chunks_[c].second; ++i) {
+          // Replay works against private copies too: a device lives in one
+          // chunk, whose copy is zero when the pass starts, so the captured
+          // deltas are exactly what the device adds to the merged sum.
+          for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
             ctx.bypass.Process(i, *devices[i], eval);
           }
         } else {
-          for (std::size_t i = chunks_[c].first; i < chunks_[c].second; ++i) {
-            devices[i]->Eval(eval);
-          }
+          for (std::size_t i = chunk.begin; i < chunk.end; ++i) devices[i]->Eval(eval);
         }
       });
+      chunk.merge_seconds = Timed(pooled, [&] {
+        jacobian_.PublishOwned(c, values);
+        rhs_.PublishOwned(c, rhs);
+      });
     };
-    util::ThreadPool::ForkJoin(pool_, chunks_.size(), run_chunk);
-    double zero = 0.0, stamp = 0.0;
-    for (const Buffers& buf : buffers_) {
-      zero += buf.zero_seconds;
-      stamp += buf.stamp_seconds;
+    try {
+      util::ThreadPool::ForkJoin(pool_, chunks_.size(), run_chunk);
+    } catch (...) {
+      // A device threw (a singular ReducedSubnet) or the pool injected a
+      // fault.  Whatever the chunks stamped belongs to no pass, and the next
+      // pass would publish it.
+      jacobian_.ClearCopies();
+      rhs_.ClearCopies();
+      throw;
     }
-
-    // The serial merge: the reduction tax this subsystem exists to remove.
-    const double merge = Timed(pooled, [&] {
-      auto values = ctx.matrix.mutable_values();
-      std::fill(values.begin(), values.end(), 0.0);
-      std::fill(ctx.rhs.begin(), ctx.rhs.end(), 0.0);
-      for (const auto& buf : buffers_) {
-        for (std::size_t k = 0; k < values.size(); ++k) values[k] += buf.jacobian[k];
-        for (std::size_t i = 0; i < ctx.rhs.size(); ++i) ctx.rhs[i] += buf.rhs[i];
-      }
+    double stamp = 0.0, merge = 0.0;
+    for (const Chunk& chunk : chunks_) {
+      stamp += chunk.stamp_seconds;
+      merge += chunk.merge_seconds;
+    }
+    const double zero = Timed(pooled, [&] {
+      jacobian_.ZeroUntouched(values);
+      rhs_.ZeroUntouched(rhs);
     });
+    // One chunk shares nothing; its pass keeps to three timed phases.
+    if (jacobian_.has_shared() || rhs_.has_shared()) {
+      merge += Timed(pooled, [&] {
+        jacobian_.SumShared(values);
+        rhs_.SumShared(rhs);
+      });
+    }
     AddTimings(ctx, zero, stamp, merge);
   }
 
  private:
-  /// One chunk's private copy, and its share of the pass's timings.
-  struct Buffers {
-    std::vector<double> jacobian;
-    std::vector<double> rhs;
-    double zero_seconds = 0.0;
+  /// A contiguous device range, and its share of the pass's timings.
+  struct Chunk {
+    std::size_t begin = 0;
+    std::size_t end = 0;
     double stamp_seconds = 0.0;
+    double merge_seconds = 0.0;  ///< publishing its owned slots and rows
   };
-  std::vector<std::pair<std::size_t, std::size_t>> chunks_;
-  std::vector<Buffers> buffers_;
+  std::vector<Chunk> chunks_;
+  ChunkedVector jacobian_;
+  ChunkedVector rhs_;
 };
 
 /// Conflict-free colored stamping: colors execute as sequential barriers,

@@ -8,9 +8,9 @@
 // locks.  A full assembly pass is then `num_colors` parallel phases
 // separated by barriers.
 //
-// This is the standard fix for the fine-grained baseline's O(nnz x threads)
-// reduction tax (cf. EEspice in PAPERS.md); it also drops into every
-// pipelined WavePipe solve through the engine::DeviceAssembler hook.
+// This is the standard fix for the fine-grained baseline's reduction tax
+// (cf. EEspice in PAPERS.md); it also drops into every pipelined WavePipe
+// solve through the engine::DeviceAssembler hook.
 //
 // Two coloring strategies:
 //
@@ -32,6 +32,14 @@
 // clique) make coloring useless; CompareAssemblyCosts() is the deterministic
 // structure-only cost model that decides colored vs reduction, and
 // MakeAssembler(kAuto, ...) applies it.
+//
+// The reduction fallback stamps contiguous device chunks into private
+// Jacobian/RHS copies, and the same footprints tell it, once, which chunk
+// writes each slot and row.  A slot only one chunk writes is published (and
+// re-zeroed) by that chunk inside its own share; after the join the caller
+// sums, in chunk order, only the slots several chunks write — on a supply
+// clique a handful — and zeroes the ones no device writes.  No pass sweeps
+// a whole copy, and the bits equal the full k-copy merge it replaced.
 #pragma once
 
 #include <cstdint>
@@ -111,7 +119,11 @@ ColorSchedule BuildColorSchedule(const engine::Circuit& circuit,
 /// Deterministic structure-only cost model, in "memory write" units per
 /// assembly pass.  Used by MakeAssembler(kAuto) to decide when the
 /// chromatic number is degenerate (dense supply node -> one color per
-/// device -> barrier cost swamps the saved reduction).
+/// device -> barrier cost swamps the saved reduction).  Its reduction term
+/// still charges the full k-copy zero and merge that the reduction
+/// assembler no longer pays, so it overstates reduction; it is kept as is
+/// because kAuto's choice, and so the fine-grained output bits, follow
+/// from it.
 struct AssemblyCostEstimate {
   double colored = 0.0;
   double reduction = 0.0;
@@ -123,7 +135,8 @@ AssemblyCostEstimate CompareAssemblyCosts(const ColorSchedule& schedule,
 
 enum class AssemblyMode {
   kAuto,       ///< cost model picks colored or reduction
-  kReduction,  ///< force private-buffer chunked reduction (the old baseline)
+  kReduction,  ///< force private-copy chunked reduction: owned slots published
+               ///< per chunk, only shared slots summed after the join
   kColored,    ///< force conflict-free colored stamping
 };
 
@@ -147,8 +160,13 @@ std::unique_ptr<engine::DeviceAssembler> MakeAssembler(
 ///   serial:     zero + stamp                      (nothing scales)
 ///   reduction:  zero + stamp/k + merge*k          (merge sweeps k buffers)
 ///   colored:    (zero + stamp)/k + merge          (barriers don't shrink)
-/// The assembly bench reports it as a modeled diagnostic next to the measured
-/// one-thread phases; perfbench/ measures wall clock end to end.
+/// The reduction line dates from the full k-copy merge.  Its one-thread
+/// merge is now the copy-out of every stamped slot, which k chunks split
+/// between them, plus a sum over the few shared slots after the join, so
+/// merge*k overstates it; the formula stays because the pinned model tests
+/// and BENCH_assembly.json's guards are written against it.  The assembly
+/// bench reports it as a modeled diagnostic next to the measured one-thread
+/// phases; perfbench/ measures wall clock end to end.
 double ModelAssemblySeconds(const engine::AssemblyStats& measured, int threads);
 
 }  // namespace wavepipe::parallel

@@ -14,9 +14,9 @@
 //
 // Two assembly strategies sit behind the pool (see parallel/coloring.hpp):
 //
-//  * reduction — each worker accumulates into a private Jacobian/RHS copy,
-//    merged serially afterwards (the historical baseline; the merge is the
-//    O(nnz x threads) tax).
+//  * reduction — each worker accumulates into a private Jacobian/RHS copy
+//    and publishes the slots only it writes; the caller sums the few slots
+//    several workers write.
 //  * colored   — conflict-free device coloring stamps the shared matrix
 //    directly, no private copies, one barrier per color.
 //
@@ -63,6 +63,10 @@ FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
 /// Amdahl-style runtime model for k threads given a measured breakdown:
 /// model eval divides by k, the reduction grows with (k-1) private copies,
 /// LU and control stay serial.  Returns the modeled speedup over 1 thread.
+/// The reduction term describes the full k-copy merge; the reduction
+/// assembler now publishes each chunk's own slots inside its share and sums
+/// only shared ones, so the term overstates it (kept: the pinned model
+/// tests and bench figures are written against it).
 double ModelFineGrainedSpeedup(const PhaseBreakdown& phases, int threads);
 
 }  // namespace wavepipe::parallel

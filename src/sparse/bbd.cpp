@@ -66,7 +66,8 @@ void BbdStats::ExportCounters(util::telemetry::CounterRegistry& registry) const 
 }
 
 void BbdSolver::Configure(std::shared_ptr<const BbdPlan> plan, const CscMatrix& pattern,
-                          const SparseLu::Options& lu_options) {
+                          const SparseLu::Options& lu_options,
+                          OrderingCache* ordering_cache) {
   WP_ASSERT(plan != nullptr);
   if (!plan->Validate(pattern)) {
     throw Error("BbdSolver: pattern violates the plan's separator property");
@@ -129,7 +130,8 @@ void BbdSolver::Configure(std::shared_ptr<const BbdPlan> plan, const CscMatrix& 
     piece.f_src.assign(piece.f.num_nonzeros(), -1);
     piece.e_src.assign(piece.e.num_nonzeros(), -1);
     piece.lu.Reset(lu_options_);
-    piece.lu.set_ordering_cache(&ordering_cache_);
+    piece.lu.set_ordering_cache(ordering_cache != nullptr ? ordering_cache
+                                                          : &ordering_cache_);
     piece.interface_rows.clear();
     for (int r : piece.e.row_idx()) piece.interface_rows.push_back(r);
     std::sort(piece.interface_rows.begin(), piece.interface_rows.end());
@@ -188,6 +190,7 @@ void BbdSolver::Configure(std::shared_ptr<const BbdPlan> plan, const CscMatrix& 
     }
   }
   schur_lu_.Reset(lu_options_);
+  schur_lu_.set_ordering_cache(ordering_cache);
   schur_work_.assign(static_cast<std::size_t>(n_if), 0.0);
 }
 

@@ -28,7 +28,8 @@
 // is what makes 100k-unknown grids fit.
 //
 // Every piece runs the existing SparseLu kernels (with a shared
-// OrderingCache so equal-stripe patterns are ordered once); the pieces and
+// OrderingCache so equal-stripe patterns are ordered once, and a run's
+// contexts order each piece pattern once between them); the pieces and
 // the Schur column assembly execute across the caller's ThreadPool.  Results
 // are deterministic: each piece/column computation is a pure function of its
 // inputs and all cross-piece accumulations run in fixed piece order.
@@ -113,9 +114,14 @@ class BbdSolver {
   /// was computed for): builds the piece/coupling sub-patterns, the value
   /// scatter maps, and the structural Schur pattern.  Call once per pattern;
   /// numeric FactorOrRefactor()/Solve() reuse all of it.  Throws Error if
-  /// `pattern` violates the plan's separator property.
+  /// `pattern` violates the plan's separator property.  `ordering_cache`
+  /// (not owned) routes the orderings of every piece LU and of the Schur LU
+  /// through a run-level cache, so the contexts of one run order each piece
+  /// pattern once between them; null keeps the solver's own cache for the
+  /// pieces and the Schur LU's private one.
   void Configure(std::shared_ptr<const BbdPlan> plan, const CscMatrix& pattern,
-                 const SparseLu::Options& lu_options = {});
+                 const SparseLu::Options& lu_options = {},
+                 OrderingCache* ordering_cache = nullptr);
 
   bool configured() const { return plan_ != nullptr; }
   bool factored() const { return factored_; }
@@ -165,7 +171,8 @@ class BbdSolver {
 
   std::shared_ptr<const BbdPlan> plan_;
   SparseLu::Options lu_options_;
-  /// Shared across pieces: equal stripe patterns are ordered once.
+  /// Shared across pieces when no run-level cache is attached: equal stripe
+  /// patterns are ordered once.
   OrderingCache ordering_cache_;
   /// deque, not vector: Piece holds a SparseLu (non-movable atomics), so
   /// elements must construct in place and never relocate.

@@ -10,7 +10,8 @@
 // concurrently.  The sharers: the contexts of one pipeline run (the
 // driver's run-level cache), the pieces of one BBD solver, and every
 // variant of a batch (SimOptions::ordering_cache, which then also replaces
-// the pipeline's own).  No cache outlives its run or batch.
+// the pipeline's own).  A run-level cache also serves every context's BBD
+// pieces and Schur LU.  No cache outlives its run or batch.
 //
 // Keying: (n, nnz, FNV-1a pattern hash, ordering kind).  A hash collision
 // merely reuses a permutation computed for a different pattern, which costs

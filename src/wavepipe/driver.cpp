@@ -119,7 +119,7 @@ PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
             ? options_.sim.partition_plan
             : partition::PartitionPattern(structure.pattern(),
                                           options_.sim.partition_pieces);
-    for (auto& ctx : contexts_) ctx->ConfigurePartition(plan);
+    for (auto& ctx : contexts_) ctx->ConfigurePartition(plan, ordering_cache);
   }
 }
 

@@ -378,7 +378,9 @@ TEST_F(FactorCacheTest, FaultOnAServedDemandMatchesTheUncachedPath) {
     EXPECT_EQ(cached_stats[i].converged, plain_stats[i].converged) << i;
     EXPECT_EQ(cached_stats[i].singular, plain_stats[i].singular) << i;
     EXPECT_EQ(cached_stats[i].iterations, plain_stats[i].iterations) << i;
-    if (cached_stats[i].converged) EXPECT_EQ(cached_x[i], plain_x[i]) << i;
+    if (cached_stats[i].converged) {
+      EXPECT_EQ(cached_x[i], plain_x[i]) << i;
+    }
     saw_singular = saw_singular || cached_stats[i].singular;
   }
   EXPECT_TRUE(saw_singular);

@@ -99,7 +99,9 @@ TEST(Coloring, OrderPreservingLayersRespectDeviceOrder) {
       const StampFootprintSet fp1 = FootprintOf(*devices[d1], mna);
       const bool conflict = std::any_of(fp1.resources.begin(), fp1.resources.end(),
                                         [&res2](int r) { return res2.count(r) > 0; });
-      if (conflict) EXPECT_LT(schedule.color_of(d1), schedule.color_of(d2));
+      if (conflict) {
+        EXPECT_LT(schedule.color_of(d1), schedule.color_of(d2));
+      }
     }
   }
 }

@@ -41,7 +41,7 @@ class DeviceHarness : public devices::Binder, public devices::PatternBuilder {
     bool transient = false;
     double gmin = 0.0;
     double source_scale = 1.0;
-    std::vector<double> state_hist;  ///< optional; zero if empty
+    std::vector<double> state_hist = {};  ///< optional; zero if empty
     bool limit_valid = false;        ///< carry limiting memory from last Eval
   };
 

@@ -1,6 +1,7 @@
 // One fill-reducing ordering per pipeline run: every context of a run
 // factors the same circuit pattern, so the run computes its minimum-degree
-// ordering once (one factor/ordering span) however many contexts it has,
+// ordering once (one factor/ordering span) however many contexts it has —
+// once per distinct BBD piece and interface pattern under --partition —
 // and sharing it changes no output bit.
 #include <gtest/gtest.h>
 
@@ -79,6 +80,45 @@ TEST(PipelineOrderingTest, AdaptiveCombinedOrdersOnce) {
   options.threads = 4;
   options.spec_policy.mode = SpecPolicyMode::kAdaptive;
   ExpectOneOrderingPerRun(options);
+}
+
+// --partition 4: every context's BBD piece LUs and Schur LU order through
+// the run's cache too, so the run computes one ordering per distinct pattern
+// however many contexts factor it (the solver-private caches computed each
+// piece and interface pattern once per context).
+void ExpectOneOrderingPerPattern(WavePipeOptions options) {
+  if (!util::telemetry::kSpansCompiledIn) GTEST_SKIP() << "spans compiled out";
+  const auto gen = circuits::MakeRcMesh(8, 8);
+  const engine::MnaStructure mna(*gen.circuit);
+  options.sim.partition_pieces = 4;
+
+  const CapturedRun own = RunCaptured(gen, mna, options);
+  ASSERT_TRUE(own.result.completed) << own.result.abort_reason;
+
+  sparse::OrderingCache cache;
+  options.sim.ordering_cache = &cache;
+  const CapturedRun shared = RunCaptured(gen, mna, options);
+  ASSERT_TRUE(shared.result.completed) << shared.result.abort_reason;
+  // The cache holds one entry per distinct pattern: pieces and interface.
+  EXPECT_GE(cache.size(), 2u);
+  EXPECT_EQ(static_cast<std::size_t>(shared.orderings), cache.size());
+  EXPECT_EQ(own.orderings, shared.orderings);
+  EXPECT_GT(cache.hits(), 0u);
+  ExpectSameWaveform(own.result.trace, shared.result.trace);
+}
+
+TEST(PipelineOrderingTest, PartitionedBwpOrdersEachPatternOnce) {
+  WavePipeOptions options;
+  options.scheme = Scheme::kBackward;
+  options.threads = 4;
+  ExpectOneOrderingPerPattern(options);
+}
+
+TEST(PipelineOrderingTest, PartitionedCombinedOrdersEachPatternOnce) {
+  WavePipeOptions options;
+  options.scheme = Scheme::kCombined;
+  options.threads = 4;
+  ExpectOneOrderingPerPattern(options);
 }
 
 }  // namespace

@@ -33,11 +33,7 @@ TEST(Replay, IndependentTasksParallelize) {
 }
 
 TEST(Replay, DiamondDependency) {
-  //   0
-  //  / \\
-  // 1   2
-  //  \\ /
-  //   3
+  // A diamond: 0 -> 1, 0 -> 2, then 1 -> 3 and 2 -> 3.
   Ledger ledger;
   const int a = ledger.Add(Rec(1.0));
   const int b = ledger.Add(Rec(2.0, {a}));
