@@ -124,7 +124,7 @@ DcopResult SolveDcOperatingPoint(SolveContext& ctx, const SimOptions& options,
   throw ConvergenceError("DC operating point failed; tried: " + attempts);
 }
 
-SolutionPointPtr MakeDcSolutionPoint(const SolveContext& ctx, double time) {
+std::shared_ptr<SolutionPoint> MakeDcSolutionPoint(const SolveContext& ctx, double time) {
   auto point = std::make_shared<SolutionPoint>();
   point->time = time;
   point->x = ctx.x;

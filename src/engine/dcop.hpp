@@ -31,6 +31,6 @@ DcopResult SolveDcOperatingPoint(
 
 /// Wraps the converged operating point as the t = `time` history seed for a
 /// transient run (qdot = 0: the operating point is an equilibrium).
-SolutionPointPtr MakeDcSolutionPoint(const SolveContext& ctx, double time);
+std::shared_ptr<SolutionPoint> MakeDcSolutionPoint(const SolveContext& ctx, double time);
 
 }  // namespace wavepipe::engine

@@ -28,6 +28,10 @@ struct SolutionPoint {
   /// ratio they induce would push variable-step BDF2 out of its zero-stable
   /// range (r <= 1 + sqrt(2)).
   bool auxiliary = false;
+  /// Id of the transient driver's ledger record that produced the point (the
+  /// dependency its consumers name), -1 until the driver accepts it.
+  /// Predicted points never carry one.
+  int ledger_id = -1;
 };
 
 using SolutionPointPtr = std::shared_ptr<const SolutionPoint>;

@@ -129,9 +129,9 @@ struct FactorReusePolicy {
 };
 
 /// Chord-Newton attempt/accept policy of engine::SolveNewton, the one Newton
-/// loop: the fine-grained engine is the serial transient loop with an
-/// intra-solve pool attached to its SolveContext (RunTransientSerial's
-/// IntraSolve), so it runs this same policy on the same loop.  One instance
+/// loop: the fine-grained engine is the transient driver's serial scheme
+/// with an intra-solve pool attached to its SolveContext, so it runs this
+/// same policy on the same loop.  One instance
 /// lives for one solve and owns every chord decision — whether an iteration
 /// may reuse the factor in ctx.lu (fill-ratio cost gate, cross-solve
 /// backoff, a0 drift), whether a passing iterate may be trusted (exact
@@ -279,8 +279,8 @@ class SolveContext {
   std::vector<double> refine_work;  ///< residual scratch for iterative refinement
 
   /// Optional assembly strategy; null = serial device loop.  Not owned — the
-  /// creator (parallel::RunTransientFineGrained, WavePipe driver) keeps it
-  /// alive.
+  /// transient driver keeps it alive (its own colored assembler, or the one a
+  /// fine-grained run handed it).
   DeviceAssembler* assembler = nullptr;
 
   /// Optional worker pool for level-scheduled refactorization / triangular

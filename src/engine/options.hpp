@@ -35,8 +35,8 @@ struct ResilienceOptions {
   const TransientCheckpoint* resume = nullptr;
 
   // ---- run-budget governor --------------------------------------------------
-  /// Hard ceilings checked at accepted-step (serial/fine-grained) or round
-  /// (pipeline) boundaries.  0 = unlimited.  Exhaustion writes a final
+  /// Hard ceilings checked at every round barrier of the transient driver
+  /// (one solve attempt in the serial scheme).  0 = unlimited.  Exhaustion writes a final
   /// checkpoint (when enabled) and aborts structurally with an abort_reason
   /// starting with kBudgetExhausted — never a throw, never lost work.
   double max_wall_seconds = 0.0;
@@ -62,8 +62,8 @@ struct ResilienceOptions {
   bool breakers = true;
   /// Consecutive feature-attributed solve failures that trip a breaker.
   int breaker_trip_threshold = 4;
-  /// Accepted steps an open breaker waits before re-probing (doubles on each
-  /// re-trip).
+  /// Driver rounds an open breaker waits before re-probing (doubles on each
+  /// re-trip); a round of the serial scheme is one solve attempt.
   std::uint64_t breaker_cooldown_steps = 64;
 };
 

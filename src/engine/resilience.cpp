@@ -181,15 +181,9 @@ std::vector<std::uint8_t> SerializeCheckpoint(const TransientCheckpoint& ckpt) {
 
   WriteStats(w, ckpt.stats);
 
-  w.U64(ckpt.steps.size());
-  for (const auto& step : ckpt.steps) {
-    w.F64(step.time);
-    w.F64(step.h);
-    w.I64(step.newton_iterations);
-    w.F64(step.lte);
-    w.Bool(step.accepted);
-    w.Bool(step.restart_step);
-  }
+  // The v2 per-step block (time, h, iterations, lte, accepted, restart) is
+  // no longer kept: written empty, skipped when an older writer filled it.
+  w.U64(0);
 
   w.DoubleVec(ckpt.trace_times);
   w.DoubleVec(ckpt.trace_values);
@@ -268,16 +262,13 @@ TransientCheckpoint DeserializeCheckpoint(std::span<const std::uint8_t> payload)
   ckpt.stats = ReadStats(r);
 
   const std::uint64_t steps_n = r.U64();
-  ckpt.steps.reserve(steps_n);
   for (std::uint64_t i = 0; i < steps_n; ++i) {
-    StepRecord step;
-    step.time = r.F64();
-    step.h = r.F64();
-    step.newton_iterations = static_cast<int>(r.I64());
-    step.lte = r.F64();
-    step.accepted = r.Bool();
-    step.restart_step = r.Bool();
-    ckpt.steps.push_back(step);
+    (void)r.F64();  // time
+    (void)r.F64();  // h
+    (void)r.I64();  // Newton iterations
+    (void)r.F64();  // lte
+    (void)r.Bool();  // accepted
+    (void)r.Bool();  // restart step
   }
 
   ckpt.trace_times = r.DoubleVec();

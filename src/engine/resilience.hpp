@@ -3,11 +3,11 @@
 //  * TransientCheckpoint  — the complete resumable state of a transient run
 //    (history ring, step control, accepted trace, stats, pipeline scheduler
 //    state), serialized to the `wavepipe.ckpt.v1` format of
-//    util/checkpoint.hpp.  A run resumed from a checkpoint taken at an
-//    accepted-step (serial/fine-grained) or round (pipeline) boundary
-//    continues bit-identically: those boundaries are exactly the points where
-//    no speculative or in-flight solver state exists, so the snapshot is the
-//    whole truth.
+//    util/checkpoint.hpp.  A run resumed from a checkpoint taken at a round
+//    boundary of the transient driver (one solve attempt in the serial and
+//    fine-grained engines) continues bit-identically: those boundaries are
+//    exactly the points where no speculative or in-flight solver state
+//    exists, so the snapshot is the whole truth.
 //
 //  * CheckpointSink       — cadence + atomic double-buffered publication.
 //  * RunBudget            — --max-wall/--max-steps/--max-newton-total
@@ -47,7 +47,8 @@ namespace wavepipe::engine {
 // TransientCheckpoint — the resumable state
 // ---------------------------------------------------------------------------
 
-/// One history point plus its pipeline ledger id (-1 outside the pipeline).
+/// One history point plus its pipeline ledger id (-1 in the serial and
+/// fine-grained layout).
 struct CheckpointPoint {
   double time = 0.0;
   std::vector<double> x;
@@ -111,7 +112,6 @@ struct TransientCheckpoint {
   // --- solution state -------------------------------------------------------
   std::vector<CheckpointPoint> history;  ///< ascending time, newest last
   TransientStats stats;  ///< includes solver stats absorbed AT the snapshot
-  std::vector<StepRecord> steps;
 
   // --- accepted trace -------------------------------------------------------
   std::vector<double> trace_times;
@@ -271,7 +271,7 @@ class StallWatchdog {
 // ---------------------------------------------------------------------------
 
 /// Per-feature breaker: closed -> (K consecutive attributed failures, or the
-/// `breaker.trip` fault) -> open for a cooldown of accepted steps -> half-open
+/// `breaker.trip` fault) -> open for a cooldown of driver rounds -> half-open
 /// re-probe -> closed on success / re-open with doubled cooldown on failure.
 /// Failure and latency EWMAs are maintained as diagnostics; tripping is
 /// driven by the deterministic consecutive-failure count so that identical
@@ -289,8 +289,9 @@ class BreakerBoard {
   std::uint64_t OnSolveOutcome(std::uint64_t active_mask, bool converged,
                                double seconds);
 
-  /// Cooldown tick.  Returns a mask of features whose breaker moved to
-  /// half-open — the engine re-enables them for one probe window.
+  /// Cooldown tick, once per driver round.  Returns a mask of features whose
+  /// breaker moved to half-open — the engine re-enables them for one probe
+  /// window.
   std::uint64_t OnAcceptedStep();
 
   bool IsOpen(Feature feature) const {

@@ -1,6 +1,9 @@
-// Transient analysis: the single-time-point solve primitive (shared with the
-// WavePipe schedulers) and the conventional serial driver (the baseline every
-// experiment compares against).
+// Transient analysis: the single-time-point solve primitive every scheme
+// calls, the step-scheduling rules, and the run result.  The conventional
+// serial engine (the baseline every experiment compares against) is declared
+// here, but no loop lives in this layer: RunTransientSerial runs the WavePipe
+// driver's serial scheme on one context (src/wavepipe/serial.cpp), so
+// PipelineDriver is the only code that advances a transient time axis.
 #pragma once
 
 #include <algorithm>
@@ -93,21 +96,10 @@ struct TransientSpec {
   double tstop = 0.0;
   double tstep = 0.0;  ///< suggested step scale (SPICE .tran TSTEP role)
   ProbeSet probes;
-  bool record_step_details = true;  ///< keep per-step h / iteration records
   /// Nodeset-style initial conditions (.ic): (unknown index, volts) pairs
   /// used as the DC operating point's starting guess.  Steers multi-stable
   /// circuits (latches, ring oscillators) toward the intended state.
   std::vector<std::pair<int, double>> initial_conditions;
-};
-
-/// One accepted (or rejected) step, for the step-size figure.
-struct StepRecord {
-  double time = 0.0;       ///< time point solved
-  double h = 0.0;
-  int newton_iterations = 0;
-  double lte = 0.0;        ///< normalized error estimate
-  bool accepted = true;
-  bool restart_step = false;
 };
 
 struct TransientStats {
@@ -237,20 +229,6 @@ struct PhaseBreakdown {
   void ExportCounters(util::telemetry::CounterRegistry& registry) const;
 };
 
-/// Intra-solve parallelism for RunTransientSerial: the conventional
-/// fine-grained SPICE configuration.  The time axis stays serial; each
-/// Newton iteration's device evaluation runs on `assembler` and its LU on
-/// `factor_pool`.  Nothing is owned (parallel::RunTransientFineGrained
-/// builds and keeps them).  The default value is the plain serial engine.
-struct IntraSolve {
-  DeviceAssembler* assembler = nullptr;
-  util::ThreadPool* factor_pool = nullptr;
-  /// Workers behind the two above; their heartbeats feed the stall watchdog.
-  util::ThreadPool* pool = nullptr;
-
-  bool engaged() const { return assembler != nullptr || factor_pool != nullptr; }
-};
-
 struct TransientResult {
   Trace trace;
   TransientStats stats;
@@ -259,7 +237,6 @@ struct TransientResult {
   /// Durable-run telemetry (ckpt./watchdog./resilience. counter groups); all
   /// zero unless SimOptions::resilience engaged something.
   ResilienceStats resilience;
-  std::vector<StepRecord> steps;
   SolutionPointPtr final_point;
   /// False when the run aborted before reaching tstop.  The trace, stats,
   /// ledger and final_point still hold everything computed up to
@@ -269,17 +246,16 @@ struct TransientResult {
   double last_good_time = 0.0;  ///< newest accepted time point
 };
 
-/// Conventional serial SPICE transient loop: DC operating point, then
-/// LTE-controlled variable-step integration with breakpoint handling.  An
-/// engaged `intra` makes it the fine-grained engine: same loop, same step
-/// sequence, device evaluation and LU split across a pool inside each solve,
-/// and the parallel-assembly / parallel-factor circuit breakers armed.  Its
-/// checkpoints carry the engine tag "fine-grained".
+/// Conventional serial SPICE transient: DC operating point, then
+/// LTE-controlled variable-step integration with breakpoint handling.  It is
+/// the WavePipe driver's serial scheme on one context, with no helpers: the
+/// same step sequence as `--engine pipeline --scheme serial`, under its own
+/// checkpoint tag ("serial") and abort text ("transient: ...").  Defined in
+/// wp_wavepipe (src/wavepipe/serial.cpp).
 TransientResult RunTransientSerial(const Circuit& circuit, const MnaStructure& structure,
-                                   const TransientSpec& spec, const SimOptions& options,
-                                   const IntraSolve& intra = {});
+                                   const TransientSpec& spec, const SimOptions& options);
 
-/// Step scheduling limits shared by the serial and WavePipe drivers.
+/// Step scheduling limits of the transient driver.
 struct StepLimits {
   double hmin = 0.0;
   double hmax = 0.0;
@@ -294,17 +270,16 @@ struct StepClip {
   bool hit_stop = false;
 };
 
-/// The ONE clipping rule both the serial engine and the pipeline driver use
-/// (they previously disagreed on > vs >= at tstop, which made their step
-/// sequences drift apart in the last interval).  Advances `next_breakpoint`
+/// The clipping rule of every scheme's leading step and speculative chain.
+/// Advances `next_breakpoint`
 /// past breakpoints already within hmin of t_from, snaps t_new onto a
 /// breakpoint within hmin, and clamps at tstop (stop wins over breakpoint).
 StepClip ClipStepToSchedule(double t_from, double h, double tstop,
                             std::span<const double> breakpoints,
                             std::size_t& next_breakpoint, double hmin);
 
-/// Shared loop-termination test: the newest accepted time has reached tstop
-/// (up to the same relative slack in both drivers).
+/// Loop-termination test: the newest accepted time has reached tstop (up to
+/// a relative slack of 1e-15).
 bool TransientHorizonReached(double newest_time, double tstop);
 
 }  // namespace wavepipe::engine

@@ -1,16 +1,17 @@
 // Conventional fine-grained parallel SPICE: the baseline WavePipe is
 // positioned against in the paper.
 //
-// Fine-grained is not a separate engine.  It is engine::RunTransientSerial —
-// the one serial step loop and the one Newton loop (engine::SolveNewton) —
-// with an intra-solve pool attached to its SolveContext (engine::IntraSolve):
-// device model evaluation is distributed across worker threads, and LU
-// refactorization / triangular solves optionally run level-scheduled on the
-// same workers, while the time axis and the Newton iteration stay strictly
-// sequential.  Its scaling is therefore Amdahl-limited by the matrix
-// solution — the motivation the paper opens with, and the effect the fig-D
-// bench quantifies.  Step control, rescue ladder, bypass safety valve,
-// checkpoints, budgets, watchdog and breakers are the serial loop's own.
+// Fine-grained is not a separate engine.  It is the transient driver's
+// serial scheme on one context — the one step loop (wavepipe/driver.hpp) and
+// the one Newton loop (engine::SolveNewton) — with an intra-solve pool and
+// an assembler attached to that context: device model evaluation is
+// distributed across worker threads, and LU refactorization / triangular
+// solves optionally run level-scheduled on the same workers, while the time
+// axis and the Newton iteration stay strictly sequential.  Its scaling is
+// therefore Amdahl-limited by the matrix solution — the motivation the paper
+// opens with, and the effect the fig-D bench quantifies.  Step control,
+// rescue ladder, bypass safety valve, checkpoints, budgets, watchdog and
+// breakers are the driver's own; checkpoints carry the tag "fine-grained".
 //
 // Two assembly strategies sit behind the pool (see parallel/coloring.hpp):
 //
@@ -21,7 +22,12 @@
 //    directly, no private copies, one barrier per color.
 //
 // The default (kAuto) picks per circuit with a structure-only cost model;
-// tests force either mode explicitly.
+// tests force either mode explicitly.  With kAuto and a single participating
+// thread no assembler is attached: the run is the serial engine's device
+// loop, bit for bit, and reports the "serial" assembly strategy.
+//
+// This library keeps the assemblers and the cost model; the entry point is
+// defined in wp_wavepipe (src/wavepipe/serial.cpp), beside the loop it runs.
 #pragma once
 
 #include "engine/circuit.hpp"
@@ -53,7 +59,7 @@ using PhaseBreakdown = engine::PhaseBreakdown;
 using FineGrainedResult = engine::TransientResult;
 
 /// Runs the fine-grained-parallel transient: builds the worker pool and the
-/// assembler, then runs engine::RunTransientSerial with them attached.  With
+/// assembler, then runs the driver's serial scheme with them attached.  With
 /// one thread and serial LU it is the serial engine, bit for bit.
 FineGrainedResult RunTransientFineGrained(const engine::Circuit& circuit,
                                           const engine::MnaStructure& structure,

@@ -116,13 +116,13 @@ void PipelineDriver::RunRoundBackward() {
 
   if (!assess.accept && h > limits_.hmin * (1.0 + 1e-6)) {
     Record(SolveKind::kRejected, lead, std::move(lead_deps), /*useful=*/false);
-    OnLteRejection(assess, h);
+    OnLteRejection(assess);
     return;
   }
 
   const int id = Record(SolveKind::kLeading, lead, std::move(lead_deps), /*useful=*/true);
   AcceptPoint(lead.point, id, /*leading=*/true);
-  OnLeadingAccepted(assess, clip.hit_breakpoint, cap, h);
+  OnLeadingAccepted(assess, clip.hit_breakpoint, h);
 }
 
 }  // namespace wavepipe::pipeline

@@ -80,13 +80,13 @@ void PipelineDriver::RunRoundCombined() {
     DiscardSpeculativeChain(chain, 0);
     policy_.OnChainValidated(static_cast<int>(chain.size()), 0);
     Record(SolveKind::kRejected, lead, std::move(lead_deps), /*useful=*/false);
-    OnLteRejection(assess, h);
+    OnLteRejection(assess);
     return;
   }
 
   const int id = Record(SolveKind::kLeading, lead, std::move(lead_deps), /*useful=*/true);
   AcceptPoint(lead.point, id, /*leading=*/true);
-  OnLeadingAccepted(assess, /*hit_breakpoint=*/false, cap, h);
+  OnLeadingAccepted(assess, /*hit_breakpoint=*/false, h);
 
   ValidateSpeculativeChain(chain);
 }

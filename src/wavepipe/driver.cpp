@@ -30,8 +30,9 @@ const char* SchemeName(Scheme scheme) {
 PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
                                const engine::MnaStructure& structure,
                                const engine::TransientSpec& spec,
-                               const WavePipeOptions& options)
-    : circuit_(circuit),
+                               const WavePipeOptions& options, SingleContextEngine* single)
+    : single_engine_(single != nullptr ? single->tag : nullptr),
+      circuit_(circuit),
       structure_(structure),
       spec_(spec),
       options_(options),
@@ -42,6 +43,7 @@ PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
       watchdog_(options.sim.resilience, result_.resilience),
       breakers_(options.sim.resilience, result_.resilience) {
   WP_ASSERT(options_.threads >= 1);
+  WP_ASSERT(single == nullptr || options_.scheme == Scheme::kSerial);
   if (options_.scheme == Scheme::kSerial) options_.threads = 1;
   if (options_.scheme == Scheme::kCombined && options_.threads < 3) {
     // Combined needs one backward + one forward helper; degrade gracefully.
@@ -58,40 +60,46 @@ PipelineDriver::PipelineDriver(const engine::Circuit& circuit,
   if (policy_.adaptive() && options_.scheme != Scheme::kSerial) {
     slots = std::max(slots, 3 + policy_.options().max_depth);
   }
+  // Every slot may be solving at once, so the slots split one run budget;
+  // runs that are tasks of one pool (batch variants) split it again.
+  const engine::FactorCache::Budget cache_share = engine::FactorCache::ShareOfRun(
+      static_cast<std::size_t>(slots) * std::max(1u, util::ThreadPool::CurrentPoolSize()));
   contexts_.reserve(static_cast<std::size_t>(slots));
   for (int i = 0; i < slots; ++i) {
     contexts_.push_back(std::make_unique<engine::SolveContext>(circuit, structure));
-    // Every slot may be solving at once, so the slots split one run budget.
-    contexts_.back()->factor_cache.Configure(
-        engine::FactorCache::ShareOfRun(static_cast<std::size_t>(slots)));
+    contexts_.back()->factor_cache.Configure(cache_share);
   }
   // The driver thread solves every round's leading point; the pool's
   // workers take the helpers.
   pool_ = util::ThreadPool::ForThreads(options_.threads);
 
-  // Intra-solve parallelism: ONE shared worker pool serves both colored
-  // assembly and level-scheduled LU refactorization (they alternate within a
-  // Newton iteration, never overlap); the solving thread runs one share of
-  // each fork-join.  This pool is distinct from pool_, whose workers run
-  // whole pipelined solves: a fork-join from a pool's own worker runs
-  // inline, so a shared pool would leave helper solves no intra-solve
-  // workers.
-  intra_pool_ = util::ThreadPool::ForThreads(
-      std::max(options_.assembly_threads, options_.factor_threads));
-
-  // Colored assembly: let the cost model decide, but only attach a COLORED
-  // assembler.  The reduction fallback owns private buffers and can't serve
-  // concurrent contexts — if the graph isn't profitably colorable, pipelined
-  // solves keep the plain serial device loop.
-  if (options_.assembly_threads > 1) {
-    auto assembler =
-        parallel::MakeAssembler(parallel::AssemblyMode::kAuto, circuit, structure,
-                                options_.assembly_threads, {}, intra_pool_.get());
-    if (std::strcmp(assembler->stats().strategy, "colored") == 0) {
-      assembler_ = std::move(assembler);
-      for (auto& ctx : contexts_) ctx->assembler = assembler_.get();
+  // Intra-solve parallelism: ONE shared worker pool serves both assembly
+  // and level-scheduled LU refactorization (they alternate within a Newton
+  // iteration, never overlap); the solving thread runs one share of each
+  // fork-join.  This pool is distinct from pool_, whose workers run whole
+  // pipelined solves: a fork-join from a pool's own worker runs inline, so a
+  // shared pool would leave helper solves no intra-solve workers.
+  if (single != nullptr) {
+    // A fine-grained run brings the pool and the assembler it built.
+    intra_pool_ = std::move(single->pool);
+    assembler_ = std::move(single->assembler);
+  } else {
+    intra_pool_ = util::ThreadPool::ForThreads(
+        std::max(options_.assembly_threads, options_.factor_threads));
+    // Colored assembly: let the cost model decide, but only attach a
+    // COLORED assembler.  The reduction fallback owns private buffers and
+    // can't serve concurrent contexts — if the graph isn't profitably
+    // colorable, pipelined solves keep the plain serial device loop.
+    if (options_.assembly_threads > 1) {
+      auto assembler =
+          parallel::MakeAssembler(parallel::AssemblyMode::kAuto, circuit, structure,
+                                  options_.assembly_threads, {}, intra_pool_.get());
+      if (std::strcmp(assembler->stats().strategy, "colored") == 0) {
+        assembler_ = std::move(assembler);
+      }
     }
   }
+  for (auto& ctx : contexts_) ctx->assembler = assembler_.get();
 
   // Level-scheduled LU: per-context opt-in; the per-level cost model inside
   // SparseLu still falls back to the serial kernels when levels are thin.
@@ -143,13 +151,14 @@ WavePipeResult PipelineDriver::Run() {
                                     : engine::ProbeSet::FirstNodes(circuit_.num_nodes(), 16));
   result_.trace.ReserveEstimate(spec_.tstop - spec_.tstart, limits_.hmin);
 
-  // Stall watchdog sources: every context's Newton heartbeat plus the worker
-  // pool's task counters — the sampling window sees both stuck solves and a
-  // wedged pool.
+  // Stall watchdog sources: every context's Newton heartbeat plus both
+  // worker pools' task counters — the sampling window sees both stuck solves
+  // and a wedged pool.
   for (auto& ctx : contexts_) watchdog_.AddSource(&ctx->heartbeat);
-  if (pool_) {
-    watchdog_.AddSource(&pool_->tasks_started_heartbeat());
-    watchdog_.AddSource(&pool_->tasks_completed_heartbeat());
+  for (const util::ThreadPool* pool : {pool_.get(), intra_pool_.get()}) {
+    if (pool == nullptr) continue;
+    watchdog_.AddSource(&pool->tasks_started_heartbeat());
+    watchdog_.AddSource(&pool->tasks_completed_heartbeat());
   }
   watchdog_.Start();
 
@@ -179,13 +188,12 @@ WavePipeResult PipelineDriver::Run() {
     dc_record.time_point = spec_.tstart;
     dc_record.seconds = dc_timer.Seconds();
     dc_record.newton_iterations = dcop.newton.iterations;
-    const int dc_id = result_.ledger.Add(dc_record);
+    const int dc_id = single_engine_ != nullptr ? -1 : result_.ledger.Add(dc_record);
 
     // Seed history/trace with the operating point.  Not counted as an
-    // accepted step (the serial engine doesn't count it either).
-    const engine::SolutionPointPtr dc_point = engine::MakeDcSolutionPoint(ctx0, spec_.tstart);
-    history_.Add(dc_point);
-    ledger_id_of_point_[dc_point.get()] = dc_id;
+    // accepted step.
+    const auto dc_point = engine::MakeDcSolutionPoint(ctx0, spec_.tstart);
+    AcceptPoint(dc_point, dc_id, /*leading=*/false);
     result_.trace.Record(dc_point->time, dc_point->x, dc_point->q);
     result_.final_point = dc_point;
 
@@ -244,7 +252,6 @@ WavePipeResult PipelineDriver::Run() {
   // the absorption below: Snapshot() folds context stats into its own copy.
   sink_.WriteFinal([this] { return Snapshot(); });
 
-  if (assembler_) result_.assembly = assembler_->stats();
   CloseBooks();
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
     const auto& ctx = contexts_[i];
@@ -318,11 +325,11 @@ engine::StepSolveResult PipelineDriver::SolveRound(const LeadSolve& lead,
 }
 
 std::vector<int> PipelineDriver::DepsOf(const engine::HistoryWindow& window) const {
+  if (single_engine_ != nullptr) return {};
   std::vector<int> deps;
   deps.reserve(window.size());
   for (const auto& point : window) {
-    const auto it = ledger_id_of_point_.find(point.get());
-    if (it != ledger_id_of_point_.end()) deps.push_back(it->second);
+    if (point->ledger_id >= 0) deps.push_back(point->ledger_id);
   }
   return deps;
 }
@@ -367,6 +374,10 @@ int PipelineDriver::Record(SolveKind kind, const engine::StepSolveResult& solve,
     ++repair_samples_;
     policy_.OnRepairCost(solve.newton.iterations);
   }
+  result_.stats.AbsorbNewton(solve.newton);
+  process_newton_ += static_cast<std::uint64_t>(solve.newton.iterations);
+  if (single_engine_ != nullptr) return -1;
+
   SolveRecord record;
   record.kind = kind;
   record.time_point = solve.point ? solve.point->time : 0.0;
@@ -374,36 +385,23 @@ int PipelineDriver::Record(SolveKind kind, const engine::StepSolveResult& solve,
   record.newton_iterations = solve.newton.iterations;
   record.deps = std::move(deps);
   record.useful = useful;
-
-  result_.stats.AbsorbNewton(solve.newton);
-  process_newton_ += static_cast<std::uint64_t>(solve.newton.iterations);
   return result_.ledger.Add(std::move(record));
 }
 
-void PipelineDriver::AcceptPoint(const engine::SolutionPointPtr& point, int ledger_id,
-                                 bool leading) {
+void PipelineDriver::AcceptPoint(const std::shared_ptr<engine::SolutionPoint>& point,
+                                 int ledger_id, bool leading) {
+  point->ledger_id = ledger_id;
   history_.Add(point);
-  ledger_id_of_point_[point.get()] = ledger_id;
-  // Prune map entries for points that fell out of the bounded history.
-  if (ledger_id_of_point_.size() > 4 * static_cast<std::size_t>(options_.sim.history_depth)) {
-    std::map<const engine::SolutionPoint*, int> kept;
-    for (int i = 0; i < history_.size(); ++i) {
-      const auto* raw = history_.FromNewest(i).get();
-      const auto it = ledger_id_of_point_.find(raw);
-      if (it != ledger_id_of_point_.end()) kept.emplace(raw, it->second);
-    }
-    ledger_id_of_point_ = std::move(kept);
-  }
   if (leading) {
     result_.trace.Record(point->time, point->x, point->q);
     result_.stats.steps_accepted += 1;
     ++process_steps_;
     result_.final_point = point;
 
-    // Bypass step-floor safety valve (same rule as the serial engine): a
-    // sustained run of leading accepts pinned at hmin with replay active
-    // means the replay wobble exceeded the deck's LTE budget — shut the
-    // bypass off on every context and let the step size recover.
+    // Bypass step-floor safety valve: a sustained run of leading accepts
+    // pinned at hmin with replay active means the replay wobble exceeded the
+    // deck's LTE budget — shut the bypass off on every context and let the
+    // step size recover.
     if (contexts_[0]->bypass.active()) {
       if (point->time - last_leading_time_ <=
           limits_.hmin * engine::DeviceBypass::kFloorWindow) {
@@ -430,6 +428,7 @@ void PipelineDriver::MaybeQuarantine() {
 void PipelineDriver::OnNewtonFailure(double attempted_h,
                                      const engine::StepSolveResult& solve,
                                      std::vector<int> deps) {
+  WP_TINSTANT("lte", "newton_reject");
   result_.stats.steps_rejected_newton += 1;
   Record(SolveKind::kRejected, solve, std::move(deps), /*useful=*/false);
   if (breakers_.enabled()) {
@@ -464,15 +463,15 @@ void PipelineDriver::OnNewtonFailure(double attempted_h,
     return;
   }
   aborted_ = true;
-  abort_reason_ = "wavepipe: Newton failure with step at hmin, t = " +
+  abort_reason_ = std::string(single_engine_ != nullptr ? "transient" : "wavepipe") +
+                  ": Newton failure with step at hmin, t = " +
                   std::to_string(t_now) +
                   (solve.failure.empty() ? "" : " (" + solve.failure + ")") +
                   "; rescue ladder exhausted: " + rescue.attempts;
 }
 
-void PipelineDriver::OnLteRejection(const engine::StepAssessment& assess,
-                                    double attempted_h) {
-  (void)attempted_h;
+void PipelineDriver::OnLteRejection(const engine::StepAssessment& assess) {
+  WP_TINSTANT("lte", "lte_reject");
   result_.stats.steps_rejected_lte += 1;
   policy_.OnLteRejection();
   h_ = std::max(assess.h_next, limits_.hmin);
@@ -480,9 +479,8 @@ void PipelineDriver::OnLteRejection(const engine::StepAssessment& assess,
 }
 
 void PipelineDriver::OnLeadingAccepted(const engine::StepAssessment& assess,
-                                       bool hit_breakpoint, double growth_cap,
-                                       double h_used, bool update_step_control) {
-  (void)growth_cap;
+                                       bool hit_breakpoint, double h_used,
+                                       bool update_step_control) {
   if (bwp_cooldown_ > 0) --bwp_cooldown_;
   policy_.OnLeadingAccepted();
   if (breakers_.enabled()) {
@@ -606,13 +604,13 @@ void PipelineDriver::UnpackSched(std::span<const std::uint64_t> u64,
 }
 
 void PipelineDriver::CloseBooks() {
-  // The serial loop's split (engine/transient.cpp) over context 0, which
-  // only the driver thread solves on: DC point, leading solves, repairs and
-  // rescues.  What the driver spends waiting for helpers and on round
-  // bookkeeping lands in control.  The assembler is shared by every
-  // context, so the merge time is context 0's own, not the assembler's
-  // total.
+  // The split over context 0, which only the driver thread solves on: DC
+  // point, leading solves, repairs and rescues.  What the driver spends
+  // waiting for helpers and on round bookkeeping lands in control.  The
+  // assembler is shared by every context, so the merge time is context 0's
+  // own, not the assembler's total.
   result_.stats.wall_seconds = total_timer_.Seconds();
+  if (assembler_) result_.assembly = assembler_->stats();
   const engine::SolveContext& lead = *contexts_[0];
   engine::PhaseBreakdown& phases = result_.phases;
   phases.reduction = lead.merge_seconds;
@@ -636,9 +634,13 @@ sparse::BbdStats PipelineDriver::NetBbdStats(std::size_t i) const {
 }
 
 std::vector<std::uint8_t> PipelineDriver::Snapshot() {
+  // A single-context engine keeps its own layout: scheme and scheduler state
+  // stay empty (the serial scheme never reads them back, and it keeps no
+  // ledger), and the replay seeds are the flat block.
+  const bool single = single_engine_ != nullptr;
   engine::TransientCheckpoint ck;
-  ck.engine = "pipeline";
-  ck.scheme = SchemeName(options_.scheme);
+  ck.engine = single ? single_engine_ : "pipeline";
+  if (!single) ck.scheme = SchemeName(options_.scheme);
   ck.partition_pieces = options_.sim.partition_pieces;
   ck.num_unknowns = static_cast<std::uint64_t>(contexts_[0]->x.size());
   ck.num_probes = result_.trace.probes().size();
@@ -650,15 +652,17 @@ std::vector<std::uint8_t> PipelineDriver::Snapshot() {
   ck.floor_streak = static_cast<std::uint64_t>(floor_streak_);
   ck.next_breakpoint = next_breakpoint_;
 
-  ck.last_leading_time = last_leading_time_;
-  ck.bwp_cooldown = static_cast<std::uint64_t>(bwp_cooldown_);
-  ck.consecutive_failures = static_cast<std::uint64_t>(consecutive_failures_);
-  ck.quarantine_rounds_left = static_cast<std::uint64_t>(quarantine_rounds_left_);
-  ck.last_growth_factor = last_growth_factor_;
-  ck.avg_lead_iters = avg_lead_iters_;
-  ck.avg_repair_iters = avg_repair_iters_;
-  ck.repair_samples = static_cast<std::uint64_t>(repair_samples_);
-  PackSched(ck.sched_u64, ck.sched_f64);
+  if (!single) {
+    ck.last_leading_time = last_leading_time_;
+    ck.bwp_cooldown = static_cast<std::uint64_t>(bwp_cooldown_);
+    ck.consecutive_failures = static_cast<std::uint64_t>(consecutive_failures_);
+    ck.quarantine_rounds_left = static_cast<std::uint64_t>(quarantine_rounds_left_);
+    ck.last_growth_factor = last_growth_factor_;
+    ck.avg_lead_iters = avg_lead_iters_;
+    ck.avg_repair_iters = avg_repair_iters_;
+    ck.repair_samples = static_cast<std::uint64_t>(repair_samples_);
+    PackSched(ck.sched_u64, ck.sched_f64);
+  }
 
   ck.ledger.reserve(result_.ledger.size());
   for (const auto& rec : result_.ledger.records()) {
@@ -680,8 +684,7 @@ std::vector<std::uint8_t> PipelineDriver::Snapshot() {
     p.q = sp->q;
     p.qdot = sp->qdot;
     p.auxiliary = sp->auxiliary;
-    const auto it = ledger_id_of_point_.find(sp.get());
-    p.ledger_id = it != ledger_id_of_point_.end() ? it->second : -1;
+    p.ledger_id = sp->ledger_id;
     ck.history.push_back(std::move(p));
   }
 
@@ -697,13 +700,21 @@ std::vector<std::uint8_t> PipelineDriver::Snapshot() {
   }
   ck.stats.wall_seconds = total_timer_.Seconds();
 
-  for (const auto& ctx : contexts_) {
-    engine::CheckpointContextSeeds seeds;
-    seeds.lu_full = ctx->lu_seeds.full;
-    seeds.lu_numeric = ctx->lu_seeds.numeric;
-    seeds.bbd_full = ctx->bbd_seeds.full;
-    seeds.bbd_numeric = ctx->bbd_seeds.numeric;
-    ck.context_seeds.push_back(std::move(seeds));
+  if (single) {
+    const engine::SolveContext& ctx = *contexts_[0];
+    ck.lu_seed_full = ctx.lu_seeds.full;
+    ck.lu_seed_numeric = ctx.lu_seeds.numeric;
+    ck.bbd_seed_full = ctx.bbd_seeds.full;
+    ck.bbd_seed_numeric = ctx.bbd_seeds.numeric;
+  } else {
+    for (const auto& ctx : contexts_) {
+      engine::CheckpointContextSeeds seeds;
+      seeds.lu_full = ctx->lu_seeds.full;
+      seeds.lu_numeric = ctx->lu_seeds.numeric;
+      seeds.bbd_full = ctx->bbd_seeds.full;
+      seeds.bbd_numeric = ctx->bbd_seeds.numeric;
+      ck.context_seeds.push_back(std::move(seeds));
+    }
   }
 
   ck.trace_times.assign(result_.trace.times().begin(), result_.trace.times().end());
@@ -718,17 +729,27 @@ std::vector<std::uint8_t> PipelineDriver::Snapshot() {
 }
 
 void PipelineDriver::RestoreFromCheckpoint(const engine::TransientCheckpoint& ck) {
-  engine::ValidateResume(ck, "pipeline", SchemeName(options_.scheme),
+  const bool single = single_engine_ != nullptr;
+  engine::ValidateResume(ck, single ? single_engine_ : "pipeline",
+                         single ? "" : SchemeName(options_.scheme),
                          options_.sim.partition_pieces,
                          static_cast<std::uint64_t>(contexts_[0]->x.size()),
                          result_.trace.probes().size(), spec_.tstop);
-  if (ck.context_seeds.size() != contexts_.size()) {
-    throw util::CheckpointError(
-        "pipeline checkpoint carries " + std::to_string(ck.context_seeds.size()) +
-        " context slots, this run has " + std::to_string(contexts_.size()) +
-        " (thread/policy configuration differs)");
+  std::vector<engine::CheckpointContextSeeds> flat_seeds;
+  if (single) {
+    flat_seeds.push_back(
+        {ck.lu_seed_full, ck.lu_seed_numeric, ck.bbd_seed_full, ck.bbd_seed_numeric});
+  } else {
+    if (ck.context_seeds.size() != contexts_.size()) {
+      throw util::CheckpointError(
+          "pipeline checkpoint carries " + std::to_string(ck.context_seeds.size()) +
+          " context slots, this run has " + std::to_string(contexts_.size()) +
+          " (thread/policy configuration differs)");
+    }
+    UnpackSched(ck.sched_u64, ck.sched_f64);
   }
-  UnpackSched(ck.sched_u64, ck.sched_f64);
+  const std::vector<engine::CheckpointContextSeeds>& context_seeds =
+      single ? flat_seeds : ck.context_seeds;
   result_.resilience.ckpt_resumed = 1;
   result_.stats = ck.stats;
 
@@ -753,9 +774,7 @@ void PipelineDriver::RestoreFromCheckpoint(const engine::TransientCheckpoint& ck
     point->q = p.q;
     point->qdot = p.qdot;
     point->auxiliary = p.auxiliary;
-    if (p.ledger_id >= 0) {
-      ledger_id_of_point_[point.get()] = static_cast<int>(p.ledger_id);
-    }
+    point->ledger_id = static_cast<int>(p.ledger_id);
     history_.Add(std::move(point));
   }
 
@@ -773,7 +792,9 @@ void PipelineDriver::RestoreFromCheckpoint(const engine::TransientCheckpoint& ck
   steps_since_restart_ = static_cast<int>(ck.steps_since_restart);
   floor_streak_ = static_cast<int>(ck.floor_streak);
   next_breakpoint_ = ck.next_breakpoint;
-  last_leading_time_ = ck.last_leading_time;
+  // The serial scheme accepts only leading points, so its previous leading
+  // time is the newest history point's.
+  last_leading_time_ = single ? history_.newest_time() : ck.last_leading_time;
   bwp_cooldown_ = static_cast<int>(ck.bwp_cooldown);
   consecutive_failures_ = static_cast<int>(ck.consecutive_failures);
   quarantine_rounds_left_ = static_cast<int>(ck.quarantine_rounds_left);
@@ -788,7 +809,7 @@ void PipelineDriver::RestoreFromCheckpoint(const engine::TransientCheckpoint& ck
   // not simulation work — keep them out of the absorbed stats.
   bbd_prime_base_.assign(contexts_.size(), sparse::BbdStats{});
   for (std::size_t i = 0; i < contexts_.size(); ++i) {
-    const engine::CheckpointContextSeeds& seeds = ck.context_seeds[i];
+    const engine::CheckpointContextSeeds& seeds = context_seeds[i];
     contexts_[i]->PrimeFactorsFromSeeds(
         engine::FactorSeeds{seeds.lu_full, seeds.lu_numeric},
         engine::FactorSeeds{seeds.bbd_full, seeds.bbd_numeric});

@@ -1,9 +1,11 @@
-// PipelineDriver: the machinery shared by all WavePipe schemes — fork/join
-// round execution over a thread pool, breakpoint handling, history and trace
-// management, ledger bookkeeping.
+// PipelineDriver: the one transient loop.  Every scheme, and through the
+// serial scheme the serial and fine-grained engines, advances its time axis
+// here: fork/join round execution over a thread pool, breakpoint handling,
+// history and trace management, ledger bookkeeping, rescue, checkpoints,
+// budgets, watchdog and breakers.
 //
-// Each scheme contributes one RunRound*() method (bwp.cpp, fwp.cpp,
-// combined.cpp); a round inspects the shared history, plans its helper
+// Each scheme contributes one RunRound*() method (serial.cpp, bwp.cpp,
+// fwp.cpp, combined.cpp); a round inspects the shared history, plans its helper
 // solves on per-slot SolveContexts, runs them and the leading point as ONE
 // fork-join (SolveRound: share 0 is the lead on the driver thread, slot 0;
 // share k is helper k on its slot), and decides what to accept.  The driver
@@ -32,10 +34,26 @@
 
 namespace wavepipe::pipeline {
 
+/// What engine::RunTransientSerial and parallel::RunTransientFineGrained hand
+/// the driver to run its serial scheme on one context as an engine of their
+/// own.  The tag names the engine in checkpoints, which then keep the
+/// single-context layout (flat replay seeds, no ledger or scheduler state),
+/// and abort reasons read "transient: ...".  The fine-grained entry also
+/// hands over its intra-solve pool and the assembler built on it; the driver
+/// owns both from then on.
+struct SingleContextEngine {
+  const char* tag = "serial";  ///< "serial" | "fine-grained"
+  std::unique_ptr<util::ThreadPool> pool = nullptr;
+  std::unique_ptr<engine::DeviceAssembler> assembler = nullptr;
+};
+
 class PipelineDriver {
  public:
+  /// A pipeline run, or with `single` one of the single-context engines
+  /// (options.scheme must then be kSerial).
   PipelineDriver(const engine::Circuit& circuit, const engine::MnaStructure& structure,
-                 const engine::TransientSpec& spec, const WavePipeOptions& options);
+                 const engine::TransientSpec& spec, const WavePipeOptions& options,
+                 SingleContextEngine* single = nullptr);
 
   WavePipeResult Run();
 
@@ -48,15 +66,15 @@ class PipelineDriver {
 
   // ---- shared helpers -------------------------------------------------------
   using Clip = engine::StepClip;
-  /// Clips t_from + h to the next breakpoint / tstop via the ONE clipping
-  /// rule shared with the serial engine (engine::ClipStepToSchedule), so the
-  /// two drivers' step sequences are identical by construction.
+  /// Clips t_from + h to the next breakpoint / tstop
+  /// (engine::ClipStepToSchedule).
   Clip ClipStep(double t_from, double h);
 
   /// Ledger ids of the records that produced the window's points (task deps).
   std::vector<int> DepsOf(const engine::HistoryWindow& window) const;
 
-  /// Records a solve in the ledger; returns its id.
+  /// Books a solve's Newton work and records it in the ledger; returns its id
+  /// (-1 when the run keeps no ledger).
   int Record(SolveKind kind, const engine::StepSolveResult& solve,
              std::vector<int> deps, bool useful);
 
@@ -66,9 +84,10 @@ class PipelineDriver {
   /// Same for one joined backward helper solve.
   void CountSchemeBackward();
 
-  /// Accepts a solution point: history + ledger-id map (+ trace for leading
-  /// points).
-  void AcceptPoint(const engine::SolutionPointPtr& point, int ledger_id, bool leading);
+  /// Accepts a solution point: tags it with its ledger id and adds it to the
+  /// history (+ trace for leading points).
+  void AcceptPoint(const std::shared_ptr<engine::SolutionPoint>& point, int ledger_id,
+                   bool leading);
 
   /// Folds a solve's exception, if any, into a failed result counted in
   /// sched.drained_task_errors (an Error; anything else propagates).  A
@@ -86,7 +105,7 @@ class PipelineDriver {
   /// reaches options_.quarantine_threshold.
   void MaybeQuarantine();
   /// Handles an LTE rejection of the leading step.
-  void OnLteRejection(const engine::StepAssessment& assess, double attempted_h);
+  void OnLteRejection(const engine::StepAssessment& assess);
   /// Bookkeeping after an accepted leading step of size `h_used`.  When
   /// `update_step_control` is false the acceptance is recorded but h_ and
   /// the growth factor keep their last clean values — used for directly-
@@ -94,8 +113,7 @@ class PipelineDriver {
   /// on the LTE estimate as an h-independent floor and would otherwise
   /// drive the controller's err -> h feedback into a downward wobble.
   void OnLeadingAccepted(const engine::StepAssessment& assess, bool hit_breakpoint,
-                         double growth_cap, double h_used,
-                         bool update_step_control = true);
+                         double h_used, bool update_step_control = true);
 
   /// Step-control parameter block with the given growth cap.
   engine::StepControlParams ParamsWithCap(int order, double cap) const;
@@ -171,8 +189,9 @@ class PipelineDriver {
   /// quiescent checkpoint boundaries — between rounds no solve is in flight).
   std::vector<std::uint8_t> Snapshot();
   /// Restores history/trace/ledger/step-control/scheduler state and primes
-  /// every context's linear solvers from the per-slot replay seeds.  Throws
-  /// util::CheckpointError on any fingerprint or layout mismatch.
+  /// every context's linear solvers from the per-slot replay seeds (the flat
+  /// seeds of a single-context checkpoint).  Throws util::CheckpointError on
+  /// any fingerprint or layout mismatch.
   void RestoreFromCheckpoint(const engine::TransientCheckpoint& ck);
   /// Round-barrier hook: breaker cooldowns, checkpoint cadence, the budget
   /// governor and watchdog escalation.  Sets aborted_ to stop the run.
@@ -188,10 +207,15 @@ class PipelineDriver {
   /// Context i's BBD counters net of the factor work spent PRIMING it at
   /// resume (bookkeeping, not simulation work).
   sparse::BbdStats NetBbdStats(std::size_t i) const;
-  /// Sets result_'s wall clock and its layer split (result_.phases).
+  /// Sets result_'s wall clock, its layer split (result_.phases) and the
+  /// assembler's stats; runs on every exit, a failed DC point included.
   void CloseBooks();
 
   // ---- immutable configuration ---------------------------------------------
+  /// The single-context engine's checkpoint tag; null for a pipeline run.
+  /// A single-context engine returns no ledger, so such a run keeps none: no
+  /// records, and no ledger ids on its points.
+  const char* single_engine_;
   const engine::Circuit& circuit_;
   const engine::MnaStructure& structure_;
   engine::TransientSpec spec_;
@@ -207,10 +231,11 @@ class PipelineDriver {
   /// Declared before contexts_ so it outlives them.
   sparse::OrderingCache ordering_cache_;
   std::vector<std::unique_ptr<engine::SolveContext>> contexts_;
-  /// Shared conflict-free colored assembler (parallel/coloring.hpp) attached
-  /// to every context when options_.assembly_threads engages it.  Colored
-  /// assemblers are stateless per call, so concurrent pipelined solves on
-  /// different contexts can share this one instance.
+  /// Assembler attached to every context: the shared conflict-free colored
+  /// one (parallel/coloring.hpp) when options_.assembly_threads engages it
+  /// (colored assemblers are stateless per call, so concurrent pipelined
+  /// solves on different contexts can share this one instance), or the one
+  /// a fine-grained run handed over.
   std::unique_ptr<engine::DeviceAssembler> assembler_;
   /// Helper-solve workers: threads - 1 of them (the driver thread solves the
   /// lead), none at one thread.  Helper k of every round runs on worker
@@ -221,13 +246,13 @@ class PipelineDriver {
   std::vector<std::exception_ptr> round_errors_;
   /// Intra-solve pool shared by colored assembly and level-scheduled LU
   /// factorization, with one worker fewer than the threads that work on a
-  /// solve (the solving thread runs one share of every fork-join).
+  /// solve (the solving thread runs one share of every fork-join), or the
+  /// one a fine-grained run handed over.
   /// Deliberately separate from pool_: helpers run on pool_'s workers, and a
   /// fork-join from a pool's own worker runs inline.  Concurrent solves
   /// share it one gang at a time; the others run their shares inline.
   std::unique_ptr<util::ThreadPool> intra_pool_;
   engine::History history_;
-  std::map<const engine::SolutionPoint*, int> ledger_id_of_point_;
   std::size_t next_breakpoint_ = 0;
   double h_ = 0.0;
   bool restart_ = true;

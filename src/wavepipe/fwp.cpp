@@ -183,8 +183,8 @@ void PipelineDriver::ValidateSpeculativeChain(std::span<HelperTask> chain) {
         const int spec_id =
             Record(SolveKind::kSpeculative, spec, std::move(task.deps), /*useful=*/true);
         AcceptPoint(spec.point, spec_id, /*leading=*/true);
-        OnLeadingAccepted(assess, task.hit_breakpoint, options_.sim.step_growth,
-                          h_d, /*update_step_control=*/false);
+        OnLeadingAccepted(assess, task.hit_breakpoint, h_d,
+                          /*update_step_control=*/false);
         result_.sched.speculative_accepted += 1;
         result_.sched.speculative_direct += 1;
         ++accepted_entries;
@@ -236,8 +236,7 @@ void PipelineDriver::ValidateSpeculativeChain(std::span<HelperTask> chain) {
           const int repair_id =
               Record(SolveKind::kRepair, repair, std::move(repair_deps), /*useful=*/true);
           AcceptPoint(repair.point, repair_id, /*leading=*/true);
-          OnLeadingAccepted(assess, task.hit_breakpoint, options_.sim.step_growth,
-                            h_d);
+          OnLeadingAccepted(assess, task.hit_breakpoint, h_d);
           result_.sched.speculative_accepted += 1;
           ++accepted_entries;
           entry_accepted = true;
@@ -317,15 +316,14 @@ void PipelineDriver::RunRoundForward() {
     DiscardSpeculativeChain(chain, 0);
     policy_.OnChainValidated(static_cast<int>(chain.size()), 0);
     Record(SolveKind::kRejected, lead, std::move(lead_deps), /*useful=*/false);
-    OnLteRejection(lead_assess, h1);
+    OnLteRejection(lead_assess);
     return;
   }
 
   const int lead_id =
       Record(SolveKind::kLeading, lead, std::move(lead_deps), /*useful=*/true);
   AcceptPoint(lead.point, lead_id, /*leading=*/true);
-  OnLeadingAccepted(lead_assess, /*hit_breakpoint=*/false,
-                    options_.sim.step_growth, h1);
+  OnLeadingAccepted(lead_assess, /*hit_breakpoint=*/false, h1);
 
   ValidateSpeculativeChain(chain);
 }

@@ -22,8 +22,10 @@
 //
 //  * kCombined  — one backward helper plus forward speculation (3+ threads).
 //
-// kSerial runs the conventional loop through the same machinery, producing
-// the ledger the speedup comparisons need.
+// kSerial is the conventional loop: one solve per round, no helpers.  It is
+// the only transient loop in the repo; engine::RunTransientSerial and
+// parallel::RunTransientFineGrained run it on one context (serial.cpp), and
+// it produces the ledger the speedup comparisons replay.
 #pragma once
 
 #include <vector>
@@ -163,31 +165,16 @@ struct PipelineSchedStats {
   void ExportCounters(util::telemetry::CounterRegistry& registry) const;
 };
 
-struct WavePipeResult {
-  engine::Trace trace;
-  engine::TransientStats stats;
+/// A pipeline run's result: the transient result every engine returns
+/// (trace, stats, phases, assembly, resilience, abort state) plus the
+/// scheduler's books.  `phases` is the driver thread's wall-clock split, by
+/// the same formula over context 0 (which only the driver thread solves
+/// on): control holds helper waits and round bookkeeping.  `assembly` is the
+/// shared colored assembler's when assembly_threads engaged one.
+struct WavePipeResult : engine::TransientResult {
   PipelineSchedStats sched;
   SpecPolicyStats spec;  ///< speculation-policy counters (spec.* export group)
   Ledger ledger;
-  /// Colored-assembly accounting when assembly_threads engaged a colored
-  /// assembler; strategy stays "serial" otherwise.
-  engine::AssemblyStats assembly;
-  /// Wall-clock layer split of the driver thread, by the serial loop's
-  /// formula over context 0 (which only the driver thread solves on): device
-  /// eval and factor/solve laps, the merge time the shared assembler spent
-  /// on context 0, and control — the rest of the run, helper waits and round
-  /// bookkeeping included.
-  engine::PhaseBreakdown phases;
-  engine::SolutionPointPtr final_point;
-  /// False when the run aborted before tstop.  Everything computed up to
-  /// last_good_time — trace, ledger, stats, final_point — is still here; an
-  /// abort never discards the waveform (the historical behaviour was an
-  /// unguarded ConvergenceError throw that lost all of it).
-  bool completed = true;
-  std::string abort_reason;     ///< empty when completed
-  double last_good_time = 0.0;  ///< newest accepted time point
-  /// Durable-run telemetry (ckpt./watchdog./resilience. counter groups).
-  engine::ResilienceStats resilience;
 };
 
 /// Runs a transient analysis under the selected scheme.  Thread-safe with

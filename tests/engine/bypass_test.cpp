@@ -344,8 +344,8 @@ TEST(DeviceBypassTest, WavePipeCombinedParityWithAcceleration) {
 // steps, an effective hang — with bypass at the default tolerance.  The
 // step-floor safety valve must disable the bypass mid-run and let the step
 // size recover, finishing in a step count comparable to the bypass-off run.
-// The valve belongs to the serial step loop, so the fine-grained
-// configuration of that loop must trip it the same way.
+// The valve belongs to the driver's step loop, so the fine-grained
+// configuration of its serial scheme must trip it the same way.
 TEST(DeviceBypassTest, StepFloorValveDisablesBypassOnLteStarvedDeck) {
   const char* deck = R"(valve regression
 .model mn NMOS (vto=0.7 kp=120u)

@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -244,6 +246,56 @@ TEST(CheckpointSlots, CorruptFaultProducesRejectedFile) {
 // TransientCheckpoint payload
 // ---------------------------------------------------------------------------
 
+/// One record of the v2 per-step block, which writers filled while the
+/// serial engine kept its own step loop.
+struct OlderStepRecord {
+  double time = 0.0;
+  double h = 0.0;
+  std::int64_t newton_iterations = 0;
+  double lte = 0.0;
+  bool accepted = true;
+  bool restart_step = false;
+};
+
+/// `ck` serialized the way such a writer did: SerializeCheckpoint's bytes
+/// with its empty step block replaced by `steps`.  Everything after the block
+/// is the trace and the replay seeds, so its length is known from `ck`.
+std::vector<std::uint8_t> SerializeWithStepBlock(const TransientCheckpoint& ck,
+                                                 std::span<const OlderStepRecord> steps) {
+  std::vector<std::uint8_t> payload = engine::SerializeCheckpoint(ck);
+  ByteWriter tail;
+  tail.DoubleVec(ck.trace_times);
+  tail.DoubleVec(ck.trace_values);
+  tail.DoubleVec(ck.lu_seed_full);
+  tail.DoubleVec(ck.lu_seed_numeric);
+  tail.DoubleVec(ck.bbd_seed_full);
+  tail.DoubleVec(ck.bbd_seed_numeric);
+  tail.U64(ck.context_seeds.size());
+  for (const auto& seeds : ck.context_seeds) {
+    tail.DoubleVec(seeds.lu_full);
+    tail.DoubleVec(seeds.lu_numeric);
+    tail.DoubleVec(seeds.bbd_full);
+    tail.DoubleVec(seeds.bbd_numeric);
+  }
+  const std::size_t tail_bytes = tail.Take().size();
+  ByteWriter block;
+  block.U64(steps.size());
+  for (const auto& step : steps) {
+    block.F64(step.time);
+    block.F64(step.h);
+    block.I64(step.newton_iterations);
+    block.F64(step.lte);
+    block.Bool(step.accepted);
+    block.Bool(step.restart_step);
+  }
+  const std::vector<std::uint8_t> block_bytes = block.Take();
+  // The empty block is its 8-byte zero count, right before the tail.
+  const auto at = payload.end() - static_cast<std::ptrdiff_t>(tail_bytes + 8);
+  EXPECT_EQ(std::vector<std::uint8_t>(at, at + 8), std::vector<std::uint8_t>(8, 0));
+  payload.insert(payload.erase(at, at + 8), block_bytes.begin(), block_bytes.end());
+  return payload;
+}
+
 TransientCheckpoint MakeFullCheckpoint() {
   TransientCheckpoint ck;
   ck.engine = "pipeline";
@@ -288,7 +340,6 @@ TransientCheckpoint MakeFullCheckpoint() {
   ck.stats.newton_iterations = 321;
   ck.stats.dcop_strategy = "direct";
   ck.stats.rescues_attempted[0] = 2;
-  ck.steps.push_back({4.5e-7, 1e-9, 3, 0.4, true, false});
   ck.trace_times = {0.0, 4.5e-7};
   ck.trace_values = {0.0, 0.0, 1.0, 2.0};
   engine::CheckpointContextSeeds slot;
@@ -302,9 +353,15 @@ TransientCheckpoint MakeFullCheckpoint() {
 }
 
 TEST(CheckpointPayload, SerializeDeserializeRoundTrip) {
+  // The payload carries a filled per-step block, as older writers left it:
+  // the reader skips it and loses nothing else.
   const TransientCheckpoint ck = MakeFullCheckpoint();
-  const auto payload = engine::SerializeCheckpoint(ck);
+  const std::vector<OlderStepRecord> steps = {{4.5e-7, 1e-9, 3, 0.4, true, false},
+                                              {4.6e-7, 1e-8, 5, 2.5, false, true}};
+  const auto payload = SerializeWithStepBlock(ck, steps);
+  ASSERT_GT(payload.size(), engine::SerializeCheckpoint(ck).size());
   const TransientCheckpoint back = engine::DeserializeCheckpoint(payload);
+  EXPECT_EQ(engine::SerializeCheckpoint(back), engine::SerializeCheckpoint(ck));
 
   EXPECT_EQ(back.engine, ck.engine);
   EXPECT_EQ(back.scheme, ck.scheme);
@@ -332,8 +389,6 @@ TEST(CheckpointPayload, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.stats.newton_iterations, 321u);
   EXPECT_EQ(back.stats.dcop_strategy, "direct");
   EXPECT_EQ(back.stats.rescues_attempted[0], 2u);
-  ASSERT_EQ(back.steps.size(), 1u);
-  EXPECT_EQ(back.steps[0].newton_iterations, 3);
   EXPECT_EQ(back.trace_times, ck.trace_times);
   EXPECT_EQ(back.trace_values, ck.trace_values);
   ASSERT_EQ(back.context_seeds.size(), 2u);
@@ -400,13 +455,23 @@ TEST_F(SerialResumeTest, BudgetAbortWritesFinalCheckpoint) {
   EXPECT_EQ(ck.engine, "serial");
   EXPECT_EQ(ck.stats.steps_accepted, 5u);
   EXPECT_FALSE(ck.history.empty());
+  // The single-context layout: flat replay seeds, and no scheme, ledger,
+  // scheduler state or per-context seeds.
+  EXPECT_TRUE(ck.scheme.empty());
+  EXPECT_FALSE(ck.lu_seed_full.empty() && ck.lu_seed_numeric.empty());
+  EXPECT_TRUE(ck.ledger.empty());
+  EXPECT_TRUE(ck.sched_u64.empty());
+  EXPECT_TRUE(ck.context_seeds.empty());
+  for (const auto& point : ck.history) EXPECT_EQ(point.ledger_id, -1);
   RemoveSlots(base);
 }
 
 // The resume property: reference run vs (run killed at step k, resumed) must
 // agree BITWISE on the accepted trace and on every deterministic counter.
-void ExpectResumeBitIdentical(const circuits::GeneratedCircuit& gen,
-                              std::uint64_t kill_at_step, const std::string& tag) {
+/// `rewrite`, when given, replaces the loaded checkpoint before the resume.
+void ExpectResumeBitIdentical(
+    const circuits::GeneratedCircuit& gen, std::uint64_t kill_at_step, const std::string& tag,
+    const std::function<TransientCheckpoint(const TransientCheckpoint&)>& rewrite = nullptr) {
   engine::MnaStructure mna(*gen.circuit);
   const std::string base = TempBase("serial_resume_" + tag);
   RemoveSlots(base);
@@ -421,7 +486,8 @@ void ExpectResumeBitIdentical(const circuits::GeneratedCircuit& gen,
   const auto partial = engine::RunTransientSerial(*gen.circuit, mna, gen.spec, first);
   ASSERT_FALSE(partial.completed);
 
-  const TransientCheckpoint ck = engine::LoadCheckpoint(base);
+  TransientCheckpoint ck = engine::LoadCheckpoint(base);
+  if (rewrite) ck = rewrite(ck);
   engine::SimOptions second = options;
   second.resilience.resume = &ck;
   const auto resumed = engine::RunTransientSerial(*gen.circuit, mna, gen.spec, second);
@@ -468,6 +534,52 @@ TEST_F(SerialResumeTest, ResumeAtEveryEarlyStepIsBitIdentical) {
   for (std::uint64_t k = 1; k <= 6; ++k) {
     ExpectResumeBitIdentical(gen, k, "rcmesh_sweep_k" + std::to_string(k));
   }
+}
+
+/// A serial checkpoint in the layout the serial engine wrote while it kept
+/// its own step loop: flat replay seeds, one filled step record per accepted
+/// sample, no ledger ids, and every field the pipeline driver keeps (ledger,
+/// scheduler state, per-context seeds) at its default.  Returned through
+/// the bytes, so the reader has to skip the step block.
+TransientCheckpoint ThroughOlderSerialLayout(const TransientCheckpoint& written) {
+  EXPECT_EQ(written.engine, "serial");
+  EXPECT_FALSE(written.lu_seed_full.empty() && written.lu_seed_numeric.empty());
+  TransientCheckpoint older;
+  older.engine = written.engine;
+  older.partition_pieces = written.partition_pieces;
+  older.num_unknowns = written.num_unknowns;
+  older.num_probes = written.num_probes;
+  older.tstop = written.tstop;
+  older.h = written.h;
+  older.restart = written.restart;
+  older.steps_since_restart = written.steps_since_restart;
+  older.floor_streak = written.floor_streak;
+  older.next_breakpoint = written.next_breakpoint;
+  older.history = written.history;
+  for (auto& point : older.history) point.ledger_id = -1;
+  older.stats = written.stats;
+  older.trace_times = written.trace_times;
+  older.trace_values = written.trace_values;
+  older.lu_seed_full = written.lu_seed_full;
+  older.lu_seed_numeric = written.lu_seed_numeric;
+  older.bbd_seed_full = written.bbd_seed_full;
+  older.bbd_seed_numeric = written.bbd_seed_numeric;
+  std::vector<OlderStepRecord> steps;
+  for (std::size_t i = 1; i < older.trace_times.size(); ++i) {
+    const double h = older.trace_times[i] - older.trace_times[i - 1];
+    steps.push_back({older.trace_times[i], h, 2, 0.5, true, i == 1});
+  }
+  EXPECT_FALSE(steps.empty());
+  return engine::DeserializeCheckpoint(SerializeWithStepBlock(older, steps));
+}
+
+TEST_F(SerialResumeTest, OlderSerialLayoutResumesBitIdentically) {
+  ExpectResumeBitIdentical(circuits::MakeRcMesh(8, 8), 7, "older_rcmesh_k7",
+                           ThroughOlderSerialLayout);
+  ExpectResumeBitIdentical(circuits::MakeRingOscillator(5), 11, "older_ringosc_k11",
+                           ThroughOlderSerialLayout);
+  ExpectResumeBitIdentical(ReducedParasiticLadder(), 13, "older_reduce_k13",
+                           ThroughOlderSerialLayout);
 }
 
 TEST_F(SerialResumeTest, ReducedResumeIsBitIdentical) {

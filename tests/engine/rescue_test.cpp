@@ -178,6 +178,11 @@ TEST_F(RescueTest, DcopFailureReturnsStructuredAbortNotThrow) {
     EXPECT_NE(result.abort_reason.find("gmin-stepping"), std::string::npos);
     EXPECT_NE(result.abort_reason.find("source-stepping"), std::string::npos);
     EXPECT_EQ(result.trace.num_samples(), 0u);
+    // The books close on this exit too: an attached assembler still reports
+    // its strategy.
+    if (engine.threads > 1) {
+      EXPECT_STRNE(result.assembly.strategy, "serial");
+    }
   }
 }
 

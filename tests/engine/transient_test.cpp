@@ -101,18 +101,18 @@ TEST(Transient, TighterToleranceTakesMoreSteps) {
 }
 
 TEST(Transient, StepRecordsTrackAcceptedSteps) {
+  // The trace is the step record: the DC sample, then one sample per
+  // accepted step, each a positive step h beyond the last.
   auto f = MakeStepRc();
   MnaStructure mna(*f.circuit);
   TransientSpec spec;
   spec.tstop = 1e-3;
-  spec.record_step_details = true;
   const auto res = RunTransientSerial(*f.circuit, mna, spec, SimOptions{});
-  std::size_t accepted = 0;
-  for (const auto& s : res.steps) {
-    if (s.accepted) ++accepted;
-    EXPECT_GT(s.h, 0.0);
+  ASSERT_GT(res.stats.steps_accepted, 0u);
+  ASSERT_EQ(res.trace.num_samples(), res.stats.steps_accepted + 1);
+  for (std::size_t i = 1; i < res.trace.num_samples(); ++i) {
+    EXPECT_GT(res.trace.time(i) - res.trace.time(i - 1), 0.0) << i;
   }
-  EXPECT_EQ(accepted, res.stats.steps_accepted);
 }
 
 TEST(Transient, FinalPointAtTstop) {

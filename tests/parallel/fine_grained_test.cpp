@@ -25,7 +25,8 @@ TEST(FineGrained, MatchesSerialWaveform) {
 
 TEST(FineGrained, SingleThreadDegenerates) {
   // One thread, serial LU: the fine-grained configuration of the serial loop
-  // is the serial engine, bit for bit and decision for decision.
+  // is the serial engine, bit for bit and decision for decision, down to the
+  // device loop (kAuto attaches no assembler at one thread).
   std::vector<circuits::GeneratedCircuit> gens;
   gens.push_back(circuits::MakeRcLadder(20));
   gens.push_back(circuits::MakeDiodeRectifier(2));
@@ -38,6 +39,7 @@ TEST(FineGrained, SingleThreadDegenerates) {
     const auto fg = RunTransientFineGrained(*gen.circuit, mna, gen.spec, options);
     const auto serial =
         engine::RunTransientSerial(*gen.circuit, mna, gen.spec, engine::SimOptions{});
+    EXPECT_STREQ(fg.assembly.strategy, "serial") << gen.name;
     EXPECT_EQ(engine::Trace::MaxDeviationAll(serial.trace, fg.trace), 0.0) << gen.name;
     EXPECT_EQ(fg.stats.steps_accepted, serial.stats.steps_accepted) << gen.name;
     EXPECT_EQ(fg.stats.newton_iterations, serial.stats.newton_iterations) << gen.name;

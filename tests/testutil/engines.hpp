@@ -1,7 +1,7 @@
-// The two configurations of engine::RunTransientSerial's step loop: plain
-// serial, and fine-grained (the same loop with an intra-solve pool).  Tests
-// that pin loop behaviour — rescue ladder, structured aborts, the bypass
-// step-floor valve — run one body over both.
+// The two single-context engines on the transient driver's serial scheme:
+// plain serial, and fine-grained (the same loop with an intra-solve pool).
+// Tests that pin loop behaviour — rescue ladder, structured aborts, the
+// bypass step-floor valve — run one body over both.
 #pragma once
 
 #include <string>

@@ -5,8 +5,13 @@
 // accuracy".
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "circuits/generators.hpp"
 #include "engine/transient.hpp"
+#include "parallel/fine_grained.hpp"
 #include "wavepipe/wavepipe.hpp"
 
 namespace wavepipe::pipeline {
@@ -77,25 +82,71 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.threads);
     });
 
+void ExpectSameRun(const engine::TransientResult& a, const engine::TransientResult& b,
+                   const std::string& what) {
+  ASSERT_TRUE(a.completed) << what << ": " << a.abort_reason;
+  ASSERT_TRUE(b.completed) << what << ": " << b.abort_reason;
+  EXPECT_EQ(a.stats.steps_accepted, b.stats.steps_accepted) << what;
+  EXPECT_EQ(a.stats.steps_rejected_lte, b.stats.steps_rejected_lte) << what;
+  EXPECT_EQ(a.stats.steps_rejected_newton, b.stats.steps_rejected_newton) << what;
+  EXPECT_EQ(a.stats.newton_iterations, b.stats.newton_iterations) << what;
+  const auto demands = [](const engine::TransientStats& s) {
+    return s.lu_full_factors + s.lu_refactors + s.factor_cache.hits;
+  };
+  EXPECT_EQ(demands(a.stats), demands(b.stats)) << what;
+  ASSERT_EQ(a.trace.num_samples(), b.trace.num_samples()) << what;
+  ASSERT_EQ(a.trace.probes().size(), b.trace.probes().size()) << what;
+  for (std::size_t i = 0; i < a.trace.num_samples(); ++i) {
+    const double ta = a.trace.time(i);
+    const double tb = b.trace.time(i);
+    ASSERT_EQ(std::memcmp(&ta, &tb, sizeof ta), 0) << what << " sample " << i;
+    for (std::size_t p = 0; p < a.trace.probes().size(); ++p) {
+      const double va = a.trace.value(i, p);
+      const double vb = b.trace.value(i, p);
+      ASSERT_EQ(std::memcmp(&va, &vb, sizeof va), 0)
+          << what << " sample " << i << " probe " << p;
+    }
+  }
+}
+
 TEST(SerialParity, PipelineSerialSchemeMatchesEngineStepSequence) {
-  // The serial engine and the pipeline driver's kSerial scheme share ONE
-  // stop-time/breakpoint clipping rule (engine::ClipStepToSchedule), so
-  // their step sequences must be identical — exactly, not within tolerance.
-  const auto gen = circuits::MakeRcLadder(12);
-  engine::MnaStructure mna(*gen.circuit);
-
-  const auto serial = engine::RunTransientSerial(*gen.circuit, mna, gen.spec, {});
-  WavePipeOptions options;
-  options.scheme = Scheme::kSerial;
-  const auto piped = RunWavePipe(*gen.circuit, mna, gen.spec, options);
-
-  ASSERT_TRUE(serial.completed);
-  ASSERT_TRUE(piped.completed);
-  EXPECT_EQ(serial.stats.steps_accepted, piped.stats.steps_accepted);
-  ASSERT_EQ(serial.trace.num_samples(), piped.trace.num_samples());
-  for (std::size_t i = 0; i < serial.trace.num_samples(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.trace.time(i), piped.trace.time(i)) << i;
-    EXPECT_DOUBLE_EQ(serial.trace.value(i, 0), piped.trace.value(i, 0)) << i;
+  // The serial engine, the fine-grained engine at one thread and the
+  // pipeline's kSerial scheme are one loop (the driver's serial scheme), so
+  // every sample of every probe and every step decision must agree bit for
+  // bit, with and without the accelerations.
+  struct Flags {
+    const char* name;
+    void (*apply)(engine::SimOptions&);
+  };
+  const Flags flag_sets[] = {
+      {"plain", [](engine::SimOptions&) {}},
+      {"bypass", [](engine::SimOptions& o) { o.device_bypass = true; }},
+      {"chord", [](engine::SimOptions& o) { o.chord_newton = true; }},
+      {"partition4", [](engine::SimOptions& o) { o.partition_pieces = 4; }},
+  };
+  std::vector<circuits::GeneratedCircuit> gens;
+  gens.push_back(circuits::MakeRcLadder(12));
+  gens.push_back(circuits::MakeInverterChain(4));
+  gens.push_back(circuits::MakeDiodeRectifier(2));
+  gens.push_back(circuits::MakeParasiticLadder(3, 4));
+  for (const auto& gen : gens) {
+    engine::MnaStructure mna(*gen.circuit);
+    for (const Flags& flags : flag_sets) {
+      engine::SimOptions sim;
+      flags.apply(sim);
+      const std::string what = gen.name + " " + flags.name;
+      const auto serial = engine::RunTransientSerial(*gen.circuit, mna, gen.spec, sim);
+      parallel::FineGrainedOptions fine;
+      fine.threads = 1;
+      fine.sim = sim;
+      const auto fg = parallel::RunTransientFineGrained(*gen.circuit, mna, gen.spec, fine);
+      WavePipeOptions options;
+      options.scheme = Scheme::kSerial;
+      options.sim = sim;
+      const auto piped = RunWavePipe(*gen.circuit, mna, gen.spec, options);
+      ExpectSameRun(serial, fg, what + " (fine-grained x1)");
+      ExpectSameRun(serial, piped, what + " (pipeline serial)");
+    }
   }
 }
 

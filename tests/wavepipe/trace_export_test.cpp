@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -594,6 +595,38 @@ TEST(ReplayScheduleTest, ScheduleIsConsistentWithReplay) {
       EXPECT_GE(intervals[i].first, intervals[i - 1].second - 1e-12)
           << "worker " << worker << " overlaps";
     }
+  }
+}
+
+// perfbench reads the serial engine's layer split from its spans.  Both
+// single-context engines record, per solve attempt, one solve/time_point and
+// one round/serial span; per converged attempt one lte/assess_step span; and
+// per LTE rejection one lte/lte_reject instant.
+TEST(LayerSpansTest, SerialEnginesRecordOneSpanSetPerAttempt) {
+  if (!util::telemetry::kSpansCompiledIn) GTEST_SKIP() << "spans compiled out";
+  const auto gen = circuits::MakeDiodeRectifier(2);
+  const engine::MnaStructure mna(*gen.circuit);
+  for (const auto& engine : testutil::LoopEngines()) {
+    SCOPED_TRACE(engine.name);
+    util::telemetry::StartCapture();
+    const auto run = testutil::RunLoopEngine(engine, *gen.circuit, mna, gen.spec);
+    const util::telemetry::Capture capture = util::telemetry::StopCapture();
+    ASSERT_TRUE(run.completed) << run.abort_reason;
+    const auto count = [&](const char* category, const char* name, bool instant) {
+      return static_cast<std::size_t>(
+          std::count_if(capture.events.begin(), capture.events.end(), [&](const auto& e) {
+            return e.instant == instant && std::strcmp(e.category, category) == 0 &&
+                   std::strcmp(e.name, name) == 0;
+          }));
+    };
+    const engine::TransientStats& st = run.stats;
+    ASSERT_GT(st.steps_rejected_lte, 0u);
+    const std::size_t attempts =
+        st.steps_accepted + st.steps_rejected_lte + st.steps_rejected_newton;
+    EXPECT_EQ(count("solve", "time_point", false), attempts);
+    EXPECT_EQ(count("round", "serial", false), attempts);
+    EXPECT_EQ(count("lte", "assess_step", false), st.steps_accepted + st.steps_rejected_lte);
+    EXPECT_EQ(count("lte", "lte_reject", true), st.steps_rejected_lte);
   }
 }
 

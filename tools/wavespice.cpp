@@ -525,13 +525,13 @@ int RunSingleSweepAnalysis(const CliOptions& cli,
 
 /// What every engine variant hands back to the shared output stages.
 struct RunProducts {
-  engine::Trace trace;
   pipeline::RunInfo info;
   pipeline::RunCounterInputs counters;
-  // Pipeline only; empty/zero for the other engines (schema unaffected:
-  // BuildRunCounters exports the groups with defaults).
-  pipeline::Ledger ledger;
-  bool has_ledger = false;
+  // The run's result; sched, spec and ledger stay empty/zero outside the
+  // pipeline (schema unaffected: BuildRunCounters exports the groups with
+  // defaults).
+  pipeline::WavePipeResult result;
+  bool has_ledger = false;  ///< pipeline runs only
 };
 
 }  // namespace
@@ -638,14 +638,15 @@ int main(int argc, char** argv) {
     run.info.deck = elaborated.title.empty() ? cli.deck_path : elaborated.title;
     run.info.threads = cli.threads;
 
+    pipeline::WavePipeResult& result = run.result;
     if (cli.engine != EngineKind::kPipeline) {
-      // One transient loop serves both: fine-grained is the serial loop with
-      // an intra-solve pool attached (parallel/fine_grained.hpp).
+      // Both run the transient driver's serial scheme on one context;
+      // fine-grained attaches an intra-solve pool (parallel/fine_grained.hpp).
       const bool fine = cli.engine == EngineKind::kFineGrained;
       parallel::FineGrainedOptions fine_options;
       fine_options.threads = cli.threads;
       fine_options.sim = sim;
-      const engine::TransientResult result =
+      static_cast<engine::TransientResult&>(result) =
           fine ? parallel::RunTransientFineGrained(*elaborated.circuit, mna, elaborated.spec,
                                                    fine_options)
                : engine::RunTransientSerial(*elaborated.circuit, mna, elaborated.spec, sim);
@@ -659,26 +660,15 @@ int main(int argc, char** argv) {
                   result.stats.steps_accepted,
                   static_cast<unsigned long long>(result.stats.newton_iterations),
                   result.stats.dcop_strategy.c_str(), result.stats.wall_seconds);
-      run.trace = result.trace;
       run.info.engine = fine ? "fine-grained" : "serial";
       run.info.threads = fine ? cli.threads : 1;
-      run.info.dcop_strategy = result.stats.dcop_strategy;
-      run.info.assembly_strategy = result.assembly.strategy;
-      run.info.completed = result.completed;
-      run.info.abort_reason = result.abort_reason;
-      run.info.last_good_time = result.last_good_time;
-      run.counters.stats = result.stats;
-      run.counters.assembly = result.assembly;
-      run.counters.phases = result.phases;
-      run.counters.resilience = result.resilience;
     } else {
       pipeline::WavePipeOptions options;
       options.scheme = cli.scheme;
       options.threads = cli.threads;
       options.spec_policy = cli.spec_policy;
       options.sim = sim;
-      const auto result =
-          pipeline::RunWavePipe(*elaborated.circuit, mna, elaborated.spec, options);
+      result = pipeline::RunWavePipe(*elaborated.circuit, mna, elaborated.spec, options);
 
       std::printf("scheme %s: %zu steps, %zu rounds, %llu Newton iterations, "
                   "dcop via %s, wall %.3f s\n",
@@ -686,22 +676,8 @@ int main(int argc, char** argv) {
                   result.sched.rounds,
                   static_cast<unsigned long long>(result.stats.newton_iterations),
                   result.stats.dcop_strategy.c_str(), result.stats.wall_seconds);
-
-      run.trace = result.trace;
       run.info.engine = "wavepipe";
       run.info.scheme = pipeline::SchemeName(cli.scheme);
-      run.info.dcop_strategy = result.stats.dcop_strategy;
-      run.info.assembly_strategy = result.assembly.strategy;
-      run.info.completed = result.completed;
-      run.info.abort_reason = result.abort_reason;
-      run.info.last_good_time = result.last_good_time;
-      run.counters.stats = result.stats;
-      run.counters.assembly = result.assembly;
-      run.counters.sched = result.sched;
-      run.counters.spec = result.spec;
-      run.counters.phases = result.phases;
-      run.counters.resilience = result.resilience;
-      run.ledger = result.ledger;
       run.has_ledger = true;
 
       if (cli.compare_serial && cli.scheme != pipeline::Scheme::kSerial) {
@@ -719,14 +695,25 @@ int main(int argc, char** argv) {
                     deviation, cli.threads, serial_makespan / scheme_makespan);
       }
     }
+    run.info.dcop_strategy = result.stats.dcop_strategy;
+    run.info.assembly_strategy = result.assembly.strategy;
+    run.info.completed = result.completed;
+    run.info.abort_reason = result.abort_reason;
+    run.info.last_good_time = result.last_good_time;
+    run.counters.stats = result.stats;
+    run.counters.assembly = result.assembly;
+    run.counters.sched = result.sched;
+    run.counters.spec = result.spec;
+    run.counters.phases = result.phases;
+    run.counters.resilience = result.resilience;
 
     const int replay_workers =
         (cli.engine == EngineKind::kPipeline && cli.scheme != pipeline::Scheme::kSerial)
             ? cli.threads
             : 1;
     if (run.has_ledger) {
-      run.counters.ledger = &run.ledger;
-      run.counters.replay = pipeline::ReplayOnWorkers(run.ledger, replay_workers);
+      run.counters.ledger = &result.ledger;
+      run.counters.replay = pipeline::ReplayOnWorkers(result.ledger, replay_workers);
     }
     run.counters.reduction = reduction_stats;
     const util::telemetry::CounterRegistry registry =
@@ -743,25 +730,26 @@ int main(int argc, char** argv) {
     if (want_trace) {
       pipeline::ChromeTraceInputs trace_in;
       trace_in.capture = util::telemetry::StopCapture();
-      trace_in.ledger = run.has_ledger ? &run.ledger : nullptr;
+      trace_in.ledger = run.has_ledger ? &result.ledger : nullptr;
       trace_in.replay_workers = run.has_ledger ? replay_workers : 0;
       pipeline::WriteTextFile(cli.trace_json, pipeline::ChromeTraceJson(trace_in));
       std::printf("wrote %zu trace events to %s (open in chrome://tracing or "
                   "https://ui.perfetto.dev)\n",
                   trace_in.capture.events.size() +
-                      (run.has_ledger ? run.ledger.size() : 0),
+                      (run.has_ledger ? result.ledger.size() : 0),
                   cli.trace_json.c_str());
     }
 
-    if (cli.chart && run.trace.probes().size() > 0) {
+    if (cli.chart && result.trace.probes().size() > 0) {
       util::AsciiChart chart(72, 14);
-      for (std::size_t p = 0; p < run.trace.probes().size() && p < 4; ++p) {
-        chart.AddSeries("v(" + run.trace.probes().names[p] + ")", run.trace.Series(p));
+      for (std::size_t p = 0; p < result.trace.probes().size() && p < 4; ++p) {
+        chart.AddSeries("v(" + result.trace.probes().names[p] + ")",
+                        result.trace.Series(p));
       }
       std::printf("%s", chart.ToString().c_str());
     }
 
-    if (!cli.csv_out.empty()) WriteCsv(run.trace, cli.csv_out);
+    if (!cli.csv_out.empty()) WriteCsv(result.trace, cli.csv_out);
 
     if (!run.info.completed) {
       std::fprintf(stderr, "wavespice: run incomplete at t = %g s: %s\n",
